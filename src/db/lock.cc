@@ -1,5 +1,7 @@
 #include "db/lock.h"
 
+#include <string>
+
 namespace vpp::db {
 
 const char *
@@ -42,7 +44,7 @@ MultiModeLock::compatibleWithHolders(LockMode m) const
 bool
 MultiModeLock::tryAcquire(LockMode m)
 {
-    if (queue_.empty() && compatibleWithHolders(m)) {
+    if (waiting() == 0 && compatibleWithHolders(m)) {
         ++held_[static_cast<int>(m)];
         return true;
     }
@@ -55,15 +57,22 @@ MultiModeLock::acquire(LockMode m)
     if (tryAcquire(m))
         co_return;
     ++waits_;
-    queue_.push_back(Waiter{m, sim::Promise<>(*sim_), sim_->now()});
-    auto fut = queue_.back().wake.future();
+    if (!queue_)
+        queue_ = std::make_unique<std::deque<Waiter>>();
+    queue_->push_back(Waiter{m, sim::Promise<>(*sim_), sim_->now()});
+    auto fut = queue_->back().wake.future();
     co_await fut;
 }
 
 void
 MultiModeLock::release(LockMode m)
 {
-    --held_[static_cast<int>(m)];
+    int &held = held_[static_cast<int>(m)];
+    if (held <= 0) {
+        throw sim::SimPanic(std::string("release of an unheld ") +
+                            lockModeName(m) + " lock");
+    }
+    --held;
     drainQueue();
 }
 
@@ -72,10 +81,10 @@ MultiModeLock::drainQueue()
 {
     // Grant from the front while the next waiter is compatible; stop
     // at the first incompatible one (FIFO fairness).
-    while (!queue_.empty() &&
-           compatibleWithHolders(queue_.front().mode)) {
-        Waiter w = std::move(queue_.front());
-        queue_.pop_front();
+    while (waiting() != 0 &&
+           compatibleWithHolders(queue_->front().mode)) {
+        Waiter w = std::move(queue_->front());
+        queue_->pop_front();
         ++held_[static_cast<int>(w.mode)];
         waitTime_ += sim_->now() - w.since;
         w.wake.setValue();
@@ -107,19 +116,21 @@ sim::Task<>
 HierarchicalLockManager::lockPage(int rel, std::uint64_t page,
                                   LockMode m)
 {
-    auto &slot = pages_[{rel, page}];
-    if (!slot)
-        slot = std::make_unique<MultiModeLock>(*sim_);
-    co_await slot->acquire(m);
+    MultiModeLock &lock =
+        pages_.try_emplace(PageKey{rel, page}, *sim_).first->second;
+    co_await lock.acquire(m);
 }
 
 void
 HierarchicalLockManager::unlockPage(int rel, std::uint64_t page,
                                     LockMode m)
 {
-    auto it = pages_.find({rel, page});
-    if (it != pages_.end())
-        it->second->release(m);
+    auto it = pages_.find(PageKey{rel, page});
+    if (it == pages_.end())
+        throw sim::SimPanic("unlockPage of a page with no live lock");
+    it->second.release(m);
+    if (it->second.idle())
+        pages_.erase(it);
 }
 
 } // namespace vpp::db

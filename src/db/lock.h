@@ -13,9 +13,13 @@
 #ifndef VPP_DB_LOCK_H
 #define VPP_DB_LOCK_H
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <functional>
+#include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -44,6 +48,7 @@ class MultiModeLock
     explicit MultiModeLock(sim::Simulation &s) : sim_(&s) {}
 
     sim::Task<> acquire(LockMode m);
+    /** Drop one hold of @p m; SimPanic if @p m has no holder. */
     void release(LockMode m);
 
     bool tryAcquire(LockMode m);
@@ -53,7 +58,18 @@ class MultiModeLock
         return held_[static_cast<int>(m)];
     }
 
-    int waiting() const { return static_cast<int>(queue_.size()); }
+    int waiting() const
+    {
+        return queue_ ? static_cast<int>(queue_->size()) : 0;
+    }
+
+    /** No holder in any mode and no waiter. */
+    bool
+    idle() const
+    {
+        return held_[0] == 0 && held_[1] == 0 && held_[2] == 0 &&
+               held_[3] == 0 && waiting() == 0;
+    }
 
     /** Aggregate time spent blocked on this lock. */
     sim::Duration waitTime() const { return waitTime_; }
@@ -72,7 +88,9 @@ class MultiModeLock
 
     sim::Simulation *sim_;
     int held_[4] = {0, 0, 0, 0};
-    std::deque<Waiter> queue_;
+    /// Allocated by the first request that has to queue, so a lock
+    /// that is only ever granted at once costs no heap.
+    std::unique_ptr<std::deque<Waiter>> queue_;
     sim::Duration waitTime_ = 0;
     std::uint64_t waits_ = 0;
 };
@@ -82,6 +100,12 @@ class MultiModeLock
  * pages under them. Callers must follow the protocol: an intention
  * mode on the relation before any page lock, and acquire relations in
  * ascending id order (deadlock avoidance).
+ *
+ * Relation locks live for the manager's lifetime. A page lock exists
+ * only while it is held or waited on: it is created by the first
+ * lockPage and dropped by the unlockPage that leaves it idle, so the
+ * table stays as small as the set of pages in use. Page-lock wait
+ * statistics therefore do not survive; only relation waits are kept.
  */
 class HierarchicalLockManager
 {
@@ -92,7 +116,11 @@ class HierarchicalLockManager
     void unlockRelation(int rel, LockMode m);
 
     sim::Task<> lockPage(int rel, std::uint64_t page, LockMode m);
+    /** SimPanic if the page has no live lock or @p m is not held. */
     void unlockPage(int rel, std::uint64_t page, LockMode m);
+
+    /** Page locks currently held or waited on. */
+    std::size_t livePageLocks() const { return pages_.size(); }
 
     MultiModeLock &relation(int rel) { return *relations_.at(rel); }
 
@@ -106,11 +134,24 @@ class HierarchicalLockManager
     }
 
   private:
+    using PageKey = std::pair<int, std::uint64_t>;
+
+    struct PageKeyHash
+    {
+        std::size_t
+        operator()(const PageKey &k) const noexcept
+        {
+            return std::hash<std::uint64_t>{}(
+                k.second * 0x9e3779b97f4a7c15ull ^
+                static_cast<std::uint64_t>(k.first));
+        }
+    };
+
     sim::Simulation *sim_;
     std::vector<std::unique_ptr<MultiModeLock>> relations_;
-    std::map<std::pair<int, std::uint64_t>,
-             std::unique_ptr<MultiModeLock>>
-        pages_;
+    /// Node-based, so a lock keeps its address while a suspended
+    /// lockPage waits on it, however the table grows meanwhile.
+    std::unordered_map<PageKey, MultiModeLock, PageKeyHash> pages_;
 };
 
 } // namespace vpp::db

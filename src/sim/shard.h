@@ -18,10 +18,13 @@
  * the source shard); it is read only in the next epoch's merge
  * phase, after the barrier, by the worker that owns the destination
  * shard — so mailboxes need no locks, the epoch barrier itself is
- * the synchronisation. At merge time the destination sorts all
- * inbound mail in the canonical (timestamp, source-shard, sequence)
- * order and schedules it, which assigns destination sequence numbers
- * deterministically.
+ * the synchronisation. Each source also lists the destinations it
+ * mailed in the window; the single-threaded barrier completion turns
+ * those lists into per-destination source lists, so a merge visits
+ * only the mailboxes that hold mail. At merge time the destination
+ * sorts all inbound mail in the canonical (timestamp, source-shard,
+ * sequence) order and schedules it, which assigns destination
+ * sequence numbers deterministically.
  *
  * Determinism contract: every ordering decision — window bounds,
  * per-shard drain order, mailbox merge order — is a pure function of
@@ -163,6 +166,12 @@ class ShardedSimulation
         std::uint64_t posted = 0; ///< cross-shard posts from here
         bool dead = false;        ///< drain threw; out of the run
         std::vector<Mail> inbox;  ///< merge staging, owner-only
+        /// Destinations first mailed this window; written only by
+        /// the worker draining this shard.
+        std::vector<std::uint32_t> postedTo;
+        /// Sources holding mail for this shard; written only by the
+        /// barrier-B completion, read by this shard's merge.
+        std::vector<std::uint32_t> mailFrom;
     };
 
     /**
@@ -230,6 +239,7 @@ class ShardedSimulation
     void mergeShard(unsigned s);
     void drainShard(unsigned s);
     void computeHorizon();
+    void routeMail();
 
     Duration lookahead_;
     unsigned workers_;
@@ -243,6 +253,9 @@ class ShardedSimulation
     std::unique_ptr<EpochBarrier> barrierA_;
     std::unique_ptr<EpochBarrier> barrierB_;
     SimTime horizon_ = 0;
+    /// The run's first window enters every shard, idle or not, so an
+    /// error a setup spawn left pending surfaces as it always did.
+    bool firstWindow_ = false;
     std::uint64_t epochs_ = 0;
     std::function<void()> epochHook_;
     unsigned clamped_ = 0;
