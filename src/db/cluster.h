@@ -56,7 +56,8 @@ struct ClusterResult
     double p99Ms = 0;
     double worstMs = 0;
     double remoteAvgMs = 0;
-    std::uint64_t txns = 0;
+    std::uint64_t arrived = 0; ///< arrivals in the window, all nodes
+    std::uint64_t txns = 0;    ///< completed; == arrived unless one hung
     std::uint64_t remoteTxns = 0;
     double tpsAchieved = 0;    ///< completed / max shard clock
     double cpuUtilization = 0; ///< mean across every CPU in the cluster

@@ -75,7 +75,8 @@ struct DbResult
     double joinAvgMs = 0;
     double joinWorstMs = 0;
     double p99Ms = 0;
-    std::uint64_t txns = 0;
+    std::uint64_t arrived = 0; ///< arrivals in the window
+    std::uint64_t txns = 0;    ///< completed; == arrived unless one hung
     std::uint64_t joins = 0;
     std::uint64_t indexPageFaults = 0;
     std::uint64_t indexRebuilds = 0;
