@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "apps/workload.h"
@@ -21,6 +22,15 @@ struct Expected
     double paperVppSec;
     double paperUltrixSec;
 };
+
+// Names each case by its program. Without this, gtest prints the raw
+// bytes of the struct, whose function pointer moves with every load
+// address, and the test names (as CTest lists them) change run to run.
+void
+PrintTo(const Expected &e, std::ostream *os)
+{
+    *os << e.spec().name;
+}
 
 class AppStudy : public ::testing::TestWithParam<Expected>
 {};
