@@ -598,31 +598,189 @@ TEST_F(KernelTest, CopyInOutRoundTripThroughAddressSpace)
 // Cost calibration (the basis of Table 1)
 // ----------------------------------------------------------------------
 
-TEST_F(KernelTest, MinimalFaultCostSameProcessIs107us)
+/**
+ * Every way the kernel crosses into a manager: the three fault
+ * delivery paths and the segmentClosed notification of
+ * destroySegment. Each must charge the same per-mode crossing.
+ */
+enum class Crossing { Classic, Coalesced, Resilient, Close };
+
+struct CrossingCase
 {
-    SegmentId free_seg = freeSegment(8);
-    TestManager mgr(ManagerMode::SameProcess, free_seg);
+    Crossing crossing;
+    ManagerMode mode;
+};
+
+std::string
+crossingCaseName(const ::testing::TestParamInfo<CrossingCase> &info)
+{
+    static const char *const kNames[] = {"Classic", "Coalesced",
+                                         "Resilient", "Close"};
+    return std::string(kNames[static_cast<int>(info.param.crossing)]) +
+           (info.param.mode == ManagerMode::SameProcess
+                ? "SameProcess"
+                : "SeparateProcess");
+}
+
+/**
+ * TestManager whose every body first spends 5 us and whose first body
+ * (fault or close) throws.
+ */
+class ThrowOnceManager : public TestManager
+{
+  public:
+    using TestManager::TestManager;
+
+    sim::Task<>
+    handleFault(Kernel &k, const Fault &f) override
+    {
+        co_await enter(k);
+        co_await TestManager::handleFault(k, f);
+    }
+
+    sim::Task<>
+    segmentClosed(Kernel &k, SegmentId s) override
+    {
+        co_await enter(k);
+        co_await TestManager::segmentClosed(k, s);
+    }
+
+  private:
+    sim::Task<>
+    enter(Kernel &k)
+    {
+        co_await k.simulation().delay(usec(5));
+        if (!thrown_) {
+            thrown_ = true;
+            throw std::runtime_error("manager body crashed");
+        }
+    }
+
+    bool thrown_ = false;
+};
+
+class KernelCrossing : public ::testing::TestWithParam<CrossingCase>
+{
+  protected:
+    KernelCrossing() : kern(s, machine())
+    {
+        if (GetParam().crossing == Crossing::Resilient) {
+            ResiliencePolicy pol;
+            pol.enabled = true;
+            kern.setResiliencePolicy(pol);
+        }
+        freeSeg = kern.createSegmentNow("free", 4096, 8, kSystemUser);
+        kern.migratePagesNow(kPhysSegment, freeSeg, 0, 0, 8,
+                             flag::kReadable | flag::kWritable, 0);
+    }
+
+    static hw::MachineConfig
+    machine()
+    {
+        hw::MachineConfig m = smallMachine();
+        m.faultCoalescing = GetParam().crossing == Crossing::Coalesced;
+        return m;
+    }
+
+    /**
+     * Simulated time from now until @p t returns. A resolved fault's
+     * deadline callback stays scheduled, so the drained clock would
+     * read later than this on the resilient path.
+     */
+    sim::Duration
+    elapsed(sim::Task<> t)
+    {
+        const sim::SimTime t0 = s.now();
+        sim::SimTime end = -1;
+        s.spawn([](sim::Simulation &sim, sim::Task<> inner,
+                   sim::SimTime *out) -> sim::Task<> {
+            co_await std::move(inner);
+            *out = sim.now();
+        }(s, std::move(t), &end));
+        s.run();
+        EXPECT_GE(end, t0) << "task did not complete";
+        return end - t0;
+    }
+
+    bool
+    sameProcess() const
+    {
+        return GetParam().mode == ManagerMode::SameProcess;
+    }
+
+    sim::Simulation s;
+    Kernel kern;
+    SegmentId freeSeg = kInvalidSegment;
+};
+
+TEST_P(KernelCrossing, CostMatchesTable1)
+{
+    TestManager mgr(GetParam().mode, freeSeg);
     SegmentId seg =
         kern.createSegmentNow("app", 4096, 16, kSystemUser, &mgr);
     Process p("app", 1);
-
-    sim::SimTime t0 = s.now();
-    runTask(s, kern.touchSegment(p, seg, 0, AccessType::Write));
-    EXPECT_EQ(s.now() - t0, usec(107));
+    if (GetParam().crossing == Crossing::Close) {
+        // syscall + the bare crossing: upcall + resume, or
+        // IPC send + reply with two context switches and trap exit.
+        EXPECT_EQ(elapsed(kern.destroySegment(seg)),
+                  usec(sameProcess() ? 33 : 305));
+        EXPECT_EQ(mgr.closed().size(), 1u);
+    } else {
+        EXPECT_EQ(elapsed(kern.touchSegment(p, seg, 0,
+                                            AccessType::Write)),
+                  usec(sameProcess() ? 107 : 379));
+        EXPECT_EQ(mgr.faultsHandled(), 1u);
+    }
 }
 
-TEST_F(KernelTest, MinimalFaultCostSeparateProcessIs379us)
+TEST_P(KernelCrossing, ThrowingBodyLeavesManagerUsable)
 {
-    SegmentId free_seg = freeSegment(8);
-    TestManager mgr(ManagerMode::SeparateProcess, free_seg);
-    SegmentId seg =
-        kern.createSegmentNow("app", 4096, 16, kSystemUser, &mgr);
+    ThrowOnceManager mgr(GetParam().mode, freeSeg);
+    SegmentId first =
+        kern.createSegmentNow("first", 4096, 16, kSystemUser, &mgr);
+    SegmentId later =
+        kern.createSegmentNow("later", 4096, 16, kSystemUser, &mgr);
     Process p("app", 1);
-
-    sim::SimTime t0 = s.now();
-    runTask(s, kern.touchSegment(p, seg, 0, AccessType::Write));
-    EXPECT_EQ(s.now() - t0, usec(379));
+    switch (GetParam().crossing) {
+      case Crossing::Classic:
+      case Crossing::Coalesced:
+        EXPECT_THROW(runTask(s, kern.touchSegment(p, first, 0,
+                                                  AccessType::Write)),
+                     std::runtime_error);
+        break;
+      case Crossing::Resilient:
+        // Contained and redelivered.
+        runTask(s, kern.touchSegment(p, first, 0, AccessType::Write));
+        EXPECT_EQ(kern.stats().managerCrashes, 1u);
+        EXPECT_EQ(kern.stats().faultRedeliveries, 1u);
+        break;
+      case Crossing::Close:
+        runTask(s, kern.destroySegment(first));
+        EXPECT_EQ(kern.stats().closeFailures, 1u);
+        break;
+    }
+    // The crash released the manager (and, for a separate-process
+    // manager, its lock): a later fault on another of its segments
+    // pays exactly the minimal fault plus the 5-us handler entry.
+    EXPECT_EQ(elapsed(kern.touchSegment(p, later, 0, AccessType::Write)),
+              usec(sameProcess() ? 112 : 384));
+    EXPECT_TRUE(kern.segment(later).findPage(0));
+    std::string why;
+    EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PathsByMode, KernelCrossing,
+    ::testing::Values(
+        CrossingCase{Crossing::Classic, ManagerMode::SameProcess},
+        CrossingCase{Crossing::Classic, ManagerMode::SeparateProcess},
+        CrossingCase{Crossing::Coalesced, ManagerMode::SameProcess},
+        CrossingCase{Crossing::Coalesced, ManagerMode::SeparateProcess},
+        CrossingCase{Crossing::Resilient, ManagerMode::SameProcess},
+        CrossingCase{Crossing::Resilient, ManagerMode::SeparateProcess},
+        CrossingCase{Crossing::Close, ManagerMode::SameProcess},
+        CrossingCase{Crossing::Close, ManagerMode::SeparateProcess}),
+    crossingCaseName);
 
 TEST_F(KernelTest, SeparateProcessManagerSerializesFaults)
 {
