@@ -130,45 +130,14 @@ BM_ResolveThroughBindings(benchmark::State &state)
 BENCHMARK(BM_ResolveThroughBindings);
 
 void
-BM_ResolveHashedHit(benchmark::State &state)
-{
-    // Steady-state hit path of the hashed resolve() front-cache: the
-    // working set (128 pages, two binding hops deep) fits the cache,
-    // so after warm-up nearly every lookup is answered without walking
-    // the sorted-binding chain. Contrast with
-    // BM_ResolveThroughBindings, whose 256-page cycle thrashes it.
-    sim::Simulation s;
-    kernel::Kernel kern(s, benchMachine());
-    kernel::SegmentId file =
-        kern.createSegmentNow("file", 4096, 256, 0);
-    kern.migratePagesNow(kernel::kPhysSegment, file, 0, 0, 256, 0, 0);
-    kernel::SegmentId data =
-        kern.createSegmentNow("data", 4096, 256, 0);
-    kern.bindRegionNow(data, 0, 256, file, 0, kernel::flag::kProtMask,
-                       true);
-    kernel::SegmentId va = kern.createSegmentNow("va", 4096, 256, 0);
-    kern.bindRegionNow(va, 0, 256, data, 0, kernel::flag::kProtMask);
-    for (std::uint64_t p = 0; p < 128; ++p)
-        benchmark::DoNotOptimize(kern.resolve(va, p).entry);
-    std::uint64_t p = 0;
-    for (auto _ : state) {
-        auto r = kern.resolve(va, p % 128);
-        benchmark::DoNotOptimize(r.entry);
-        ++p;
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ResolveHashedHit);
-
-void
 BM_PerCpuResolveHit(benchmark::State &state)
 {
-    // Steady-state hit path of a per-CPU resolve cache: the same
-    // 128-page working set as BM_ResolveHashedHit, but probed through
-    // Kernel::cpuResolve, which validates each entry by re-summing the
-    // live per-segment mutation epochs of its resolution chain. The
-    // target is parity (within ~10%) with the shared hashed cache —
-    // the epoch sum is the only extra work on a hit.
+    // Steady-state hit path of a per-CPU resolve cache: a 128-page
+    // working set, two binding hops deep, that fits the cache, probed
+    // through Kernel::cpuResolve, which validates each entry by
+    // re-summing the live per-segment mutation epochs of its
+    // resolution chain. Contrast with BM_ResolveThroughBindings, the
+    // uncached binding walk over the same chain.
     sim::Simulation s;
     kernel::Kernel kern(s, benchMachine());
     kernel::SegmentId file =

@@ -38,15 +38,10 @@
 #include "hw/physmem.h"
 #include "sim/runner.h"
 
-// Thread-local resolve() front-cache counters (core/kernel.cc),
-// forward-declared so the sweep layer does not drag the whole kernel
-// header into every driver.
+// Thread-local memory-market round/fairness counters (core/kernel.cc;
+// sim::Duration is std::int64_t nanoseconds), forward-declared so the
+// sweep layer does not drag the whole kernel header into every driver.
 namespace vpp::kernel {
-void resetThreadResolveCounters();
-std::uint64_t threadResolveHits();
-std::uint64_t threadResolveMisses();
-// Memory-market round/fairness counters, same pattern (core/kernel.cc;
-// sim::Duration is std::int64_t nanoseconds).
 void resetThreadMarketCounters();
 std::uint64_t threadMarketRounds();
 std::uint64_t threadMarketBids();
@@ -194,8 +189,6 @@ class Sweep
         committedPeak_.assign(jobs_.size(), 0);
         diskErrors_.assign(jobs_.size(), 0);
         diskRetries_.assign(jobs_.size(), 0);
-        resolveHits_.assign(jobs_.size(), 0);
-        resolveMisses_.assign(jobs_.size(), 0);
         marketRounds_.assign(jobs_.size(), 0);
         marketBids_.assign(jobs_.size(), 0);
         marketStarve_.assign(jobs_.size(), 0);
@@ -216,14 +209,11 @@ class Sweep
                 // this row's simulated committed-memory peak.
                 vpp::hw::resetThreadCommittedPeak();
                 vpp::hw::resetThreadDiskCounters();
-                vpp::kernel::resetThreadResolveCounters();
                 vpp::kernel::resetThreadMarketCounters();
                 results_[i] = jobs_[i]();
                 committedPeak_[i] = vpp::hw::threadPeakCommittedBytes();
                 diskErrors_[i] = vpp::hw::threadDiskErrors();
                 diskRetries_[i] = vpp::hw::threadDiskRetries();
-                resolveHits_[i] = vpp::kernel::threadResolveHits();
-                resolveMisses_[i] = vpp::kernel::threadResolveMisses();
                 marketRounds_[i] = vpp::kernel::threadMarketRounds();
                 marketBids_[i] = vpp::kernel::threadMarketBids();
                 marketStarve_[i] =
@@ -265,18 +255,6 @@ class Sweep
                                   static_cast<unsigned long long>(
                                       diskRetries_[i]));
                 }
-                // Hashed resolve() front-cache traffic rides along the
-                // same way (stderr only; never part of the diffed
-                // stdout/JSON).
-                char rc[64] = "";
-                if (resolveHits_[i] || resolveMisses_[i]) {
-                    std::snprintf(rc, sizeof(rc),
-                                  ", resolve hit %llu/miss %llu",
-                                  static_cast<unsigned long long>(
-                                      resolveHits_[i]),
-                                  static_cast<unsigned long long>(
-                                      resolveMisses_[i]));
-                }
                 // Market auction rounds and per-tenant fairness ride
                 // the cost line the same way (stderr only; never part
                 // of the diffed stdout/JSON).
@@ -297,17 +275,17 @@ class Sweep
                     std::fprintf(
                         stderr,
                         "  %-36s %7.3f s host, peak heap %.1f MB, "
-                        "sim committed %.1f MB%s%s%s\n",
+                        "sim committed %.1f MB%s%s\n",
                         labels_[i].c_str(), s.hostSeconds,
                         static_cast<double>(s.peakHeapBytes) /
                             (1024.0 * 1024.0),
-                        committed, disk, rc, mkt);
+                        committed, disk, mkt);
                 } else {
                     std::fprintf(stderr,
                                  "  %-36s %7.3f s host, "
-                                 "sim committed %.1f MB%s%s%s\n",
+                                 "sim committed %.1f MB%s%s\n",
                                  labels_[i].c_str(), s.hostSeconds,
-                                 committed, disk, rc, mkt);
+                                 committed, disk, mkt);
                 }
             }
         }
@@ -397,8 +375,6 @@ class Sweep
     std::vector<std::int64_t> committedPeak_; ///< simulated bytes per row
     std::vector<std::uint64_t> diskErrors_;   ///< injected failures per row
     std::vector<std::uint64_t> diskRetries_;  ///< paging retries per row
-    std::vector<std::uint64_t> resolveHits_;  ///< resolve-cache hits per row
-    std::vector<std::uint64_t> resolveMisses_; ///< and misses per row
     std::vector<std::uint64_t> marketRounds_; ///< auction rounds per row
     std::vector<std::uint64_t> marketBids_;   ///< bids carried in them
     std::vector<std::int64_t> marketStarve_;  ///< worst bid age (nsec)

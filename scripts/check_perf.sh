@@ -1,7 +1,9 @@
 #!/bin/sh
 # Host-perf regression gate: build the relbench preset, run the host
-# microbenchmarks with the JSON emitter, and compare per-benchmark CPU
-# time against the committed baseline (BENCH_host.json).
+# microbenchmarks three times each with the JSON emitter, and compare
+# each benchmark's median CPU time against the median committed in the
+# baseline (BENCH_host.json). Both files hold only google-benchmark's
+# aggregate rows; the "median" row of each run_name is compared.
 #
 # Usage: scripts/check_perf.sh [tolerance]
 #   tolerance: allowed fractional slowdown before failing (default 0.50;
@@ -17,7 +19,7 @@
 # the COW frame-store hot paths (BM_CopyFrame, BM_ZeroFill,
 # BM_PageInOut), the fault path (BM_FullFaultPath, BM_FaultBatch,
 # BM_FaultRedeliver), the resolve path (BM_ResolveThroughBindings,
-# BM_ResolveHashedHit, BM_PerCpuResolveHit), the sharded engine
+# BM_PerCpuResolveHit), the sharded engine
 # (BM_ShardedStep, BM_CrossShardEvent), the batched memory market
 # (BM_MarketRound), the shared-kernel fault path
 # (BM_SharedKernelFault) and the replacement-policy hooks
@@ -44,7 +46,9 @@ fresh="$repo/build-relbench/BENCH_host_new.json"
 if [ ! -f "$baseline" ]; then
     echo "error: no baseline at $baseline" >&2
     echo "Generate one with:" >&2
-    echo "  build-relbench/bench/microbench_host --json=BENCH_host.json" >&2
+    echo "  build-relbench/bench/microbench_host --json=BENCH_host.json" \
+         "--benchmark_min_time=0.2 --benchmark_repetitions=3" \
+         "--benchmark_report_aggregates_only=true" >&2
     exit 1
 fi
 
@@ -56,7 +60,9 @@ fi
 
 (cd "$repo/build-relbench" &&
      ./bench/microbench_host \
-         --json="$fresh" --benchmark_min_time=0.2 >/dev/null)
+         --json="$fresh" --benchmark_min_time=0.2 \
+         --benchmark_repetitions=3 \
+         --benchmark_report_aggregates_only=true >/dev/null)
 
 python3 - "$baseline" "$fresh" "$tol" <<'EOF'
 import json, sys
@@ -68,10 +74,10 @@ def times(path):
         data = json.load(f)
     out = {}
     for b in data.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions used.
-        if b.get("run_type") == "aggregate":
-            continue
-        out[b["name"]] = (b["cpu_time"], b["time_unit"])
+        # One median row per benchmark: single runs are too noisy.
+        if (b.get("run_type") == "aggregate"
+                and b.get("aggregate_name") == "median"):
+            out[b["run_name"]] = (b["cpu_time"], b["time_unit"])
     return out
 
 base, new = times(base_path), times(new_path)
@@ -82,8 +88,7 @@ missing = []
 # drops one of these would blind the gate.
 required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_FullFaultPath", "BM_FaultBatch", "BM_FaultRedeliver",
-            "BM_ResolveThroughBindings", "BM_ResolveHashedHit",
-            "BM_PerCpuResolveHit",
+            "BM_ResolveThroughBindings", "BM_PerCpuResolveHit",
             "BM_ShardedStep", "BM_CrossShardEvent",
             "BM_MarketRound", "BM_SharedKernelFault",
             "BM_PolicyTouch", "BM_PolicyVictim"]

@@ -164,7 +164,6 @@ Kernel::bindRegionNow(SegmentId seg, PageIndex at, std::uint64_t pages,
     s.addBinding(Binding{at, pages, target, target_start,
                          prot & flag::kProtMask, copy_on_write});
     ++bindRefs_[target];
-    invalidateResolutions();
     bumpSegEpoch(seg);
 }
 
@@ -176,7 +175,6 @@ Kernel::unbindRegionNow(SegmentId seg, PageIndex at)
     if (!b)
         throw KernelError(KernelErrc::BadPage, "no region at page");
     --bindRefs_[b->target];
-    invalidateResolutions();
     bumpSegEpoch(seg);
 }
 
@@ -262,7 +260,6 @@ Kernel::migratePagesNow(SegmentId src, SegmentId dst, PageIndex src_page,
         if (bytes_zeroed)
             *bytes_zeroed = zeroed;
         ++stats_.pagesMigrated;
-        invalidateResolutions();
         bumpSegEpoch(src);
         bumpSegEpoch(dst);
         return 1;
@@ -392,7 +389,6 @@ Kernel::migratePagesNow(SegmentId src, SegmentId dst, PageIndex src_page,
     if (bytes_zeroed)
         *bytes_zeroed = zeroed;
     stats_.pagesMigrated += pages;
-    invalidateResolutions();
     bumpSegEpoch(src);
     bumpSegEpoch(dst);
     return ndst;
@@ -412,7 +408,6 @@ Kernel::modifyPageFlagsNow(SegmentId seg, PageIndex page,
         e->flags = (e->flags | set_flags) & ~clear_flags;
         ++modified;
     }
-    invalidateResolutions();
     bumpSegEpoch(seg);
     return modified;
 }
@@ -550,7 +545,6 @@ Kernel::destroySegment(SegmentId seg)
     segments_.erase(seg);
     bindRefs_.erase(seg);
     ++stats_.segmentsDestroyed;
-    invalidateResolutions();
     // The epoch slot outlives the segment: stale per-CPU chains
     // through the dead id must keep comparing unequal.
     bumpSegEpoch(seg);
@@ -573,7 +567,6 @@ Kernel::sweepToPhysSegment(Segment &seg)
         }
     }
     seg.pages().clear();
-    invalidateResolutions();
     bumpSegEpoch(seg.id());
     bumpSegEpoch(kPhysSegment);
 }
@@ -584,33 +577,11 @@ Kernel::sweepToPhysSegment(Segment &seg)
 
 namespace {
 
-thread_local std::uint64_t tlResolveHits = 0;
-thread_local std::uint64_t tlResolveMisses = 0;
-
 thread_local std::uint64_t tlMarketRounds = 0;
 thread_local std::uint64_t tlMarketBids = 0;
 thread_local sim::Duration tlMarketMaxStarve = 0;
 
 } // namespace
-
-void
-resetThreadResolveCounters()
-{
-    tlResolveHits = 0;
-    tlResolveMisses = 0;
-}
-
-std::uint64_t
-threadResolveHits()
-{
-    return tlResolveHits;
-}
-
-std::uint64_t
-threadResolveMisses()
-{
-    return tlResolveMisses;
-}
 
 void
 resetThreadMarketCounters()
@@ -705,30 +676,7 @@ Kernel::walkResolution(Segment &origin, SegmentId seg, PageIndex page,
 Kernel::Resolution
 Kernel::resolve(SegmentId seg, PageIndex page)
 {
-    Segment &origin = segmentOrThrow(seg);
-    const std::uint64_t epoch =
-        resolveEpoch_.load(std::memory_order_relaxed);
-    if (const Resolution *c = origin.cachedResolution(page, epoch)) {
-        ++stats_.resolveHits;
-        ++tlResolveHits;
-        return *c;
-    }
-    ++stats_.resolveMisses;
-    ++tlResolveMisses;
-    Resolution r = walkResolution(origin, seg, page);
-    // A non-present resolution triggers a fault whose handler bumps
-    // the epoch before this page can be asked for again; caching it
-    // would only displace a live entry.
-    if (r.present)
-        origin.storeResolution(page, r, epoch);
-    return r;
-}
-
-Kernel::Resolution
-Kernel::resolveUncached(SegmentId seg, PageIndex page)
-{
-    Segment &origin = segmentOrThrow(seg);
-    return walkResolution(origin, seg, page);
+    return walkResolution(segmentOrThrow(seg), seg, page);
 }
 
 // ----------------------------------------------------------------------
@@ -753,10 +701,17 @@ Kernel::publishCpuEpochs()
     segEpochSnapshot_ = segEpochs_;
 }
 
+void
+Kernel::throwBadCpu(unsigned cpu)
+{
+    throw KernelError(KernelErrc::BadPage,
+                      "no such cpu " + std::to_string(cpu));
+}
+
 const CpuResolution *
 Kernel::cpuResolve(unsigned cpu, SegmentId seg, PageIndex page)
 {
-    CpuState &c = *cpus_.at(cpu);
+    CpuState &c = cpuOrThrow(cpu);
     // Live mode validates against the mutable epoch table (strict,
     // immediate invalidation); snapshot mode against the copy last
     // published from single-threaded barrier context, which remote
@@ -774,9 +729,10 @@ Kernel::cpuResolve(unsigned cpu, SegmentId seg, PageIndex page)
 void
 Kernel::cpuStore(unsigned cpu, const CpuResolution &r)
 {
+    CpuState &c = cpuOrThrow(cpu);
     if (!r.present || r.chainLen == 0 || r.chainLen > kResolveChainMax)
         return;
-    cpus_.at(cpu)->cache.store(r);
+    c.cache.store(r);
 }
 
 CpuResolution
@@ -818,23 +774,20 @@ Kernel::resolveForCpu(SegmentId seg, PageIndex page)
 std::uint64_t
 Kernel::cpuHits(unsigned cpu) const
 {
-    return cpus_.at(cpu)->hits;
+    return cpuOrThrow(cpu).hits;
 }
 
 std::uint64_t
 Kernel::cpuMisses(unsigned cpu) const
 {
-    return cpus_.at(cpu)->misses;
+    return cpuOrThrow(cpu).misses;
 }
 
 sim::Task<>
 Kernel::touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
                    PageIndex page, AccessType a)
 {
-    if (cpu >= cpus_.size())
-        throw KernelError(KernelErrc::BadPage,
-                          "no such cpu " + std::to_string(cpu));
-    CpuState &c = *cpus_[cpu];
+    CpuState &c = cpuOrThrow(cpu);
     auto done = std::make_shared<sim::Promise<>>(*sim_);
     c.pending.push_back(PendingCpuTouch{&p, seg, page, a, done});
     ++stats_.cpuTouchesQueued;
@@ -887,13 +840,6 @@ Kernel::runCpuTouch(PendingCpuTouch t)
     }
 }
 
-void
-addThreadResolveCounts(std::uint64_t hits, std::uint64_t misses)
-{
-    tlResolveHits += hits;
-    tlResolveMisses += misses;
-}
-
 sim::SimMutex &
 Kernel::managerLock(SegmentManager *mgr)
 {
@@ -901,6 +847,31 @@ Kernel::managerLock(SegmentManager *mgr)
     if (!slot)
         slot = std::make_unique<sim::SimMutex>(*sim_);
     return *slot;
+}
+
+sim::Task<>
+Kernel::crossToManager(SegmentManager *mgr, sim::Duration pre,
+                       sim::Task<> body)
+{
+    const auto &c = config_.cost;
+    if (mgr->mode() == hw::ManagerMode::SameProcess) {
+        co_await sim_->delay(pre + c.upcall);
+        co_await std::move(body);
+        co_await sim_->delay(config_.resumeThroughKernel ? c.kernelResume
+                                                         : c.directResume);
+        co_return;
+    }
+    co_await sim_->delay(pre + c.ipcSend + c.contextSwitch);
+    sim::SimMutex &lock = managerLock(mgr);
+    co_await lock.lock();
+    try {
+        co_await std::move(body);
+    } catch (...) {
+        lock.unlock();
+        throw;
+    }
+    lock.unlock();
+    co_await sim_->delay(c.ipcReply + c.contextSwitch + c.trapExit);
 }
 
 sim::Task<>
@@ -935,32 +906,15 @@ Kernel::deliverFault(Fault f)
         co_await sim_->delay(c.trapEnter);
         co_await enqueueCoalesced(mgr, f);
     } else {
-    co_await sim_->delay(c.trapEnter + c.faultDispatch);
-    mgr->noteCall();
-    ++stats_.managerCalls;
-
-    if (resilience_.enabled) {
-        co_await deliverResilient(mgr, f);
-    } else if (mgr->mode() == hw::ManagerMode::SameProcess) {
-        co_await sim_->delay(c.upcall);
-        co_await invokeHandler(mgr, f);
-        mgr->noteFaultHandled();
-        co_await sim_->delay(config_.resumeThroughKernel ? c.kernelResume
-                                                         : c.directResume);
-    } else {
-        co_await sim_->delay(c.ipcSend + c.contextSwitch);
-        sim::SimMutex &lock = managerLock(mgr);
-        co_await lock.lock();
-        try {
-            co_await invokeHandler(mgr, f);
-        } catch (...) {
-            lock.unlock();
-            throw;
+        co_await sim_->delay(c.trapEnter + c.faultDispatch);
+        mgr->noteCall();
+        ++stats_.managerCalls;
+        if (resilience_.enabled) {
+            co_await deliverResilient(mgr, f);
+        } else {
+            co_await crossToManager(mgr, 0, invokeHandler(mgr, f));
+            mgr->noteFaultHandled();
         }
-        lock.unlock();
-        mgr->noteFaultHandled();
-        co_await sim_->delay(c.ipcReply + c.contextSwitch + c.trapExit);
-    }
     }
 
     // Copy-on-write: the kernel performs the copy after the manager
@@ -1007,7 +961,6 @@ Kernel::drainFaultQueue(SegmentManager *mgr)
     // batch before the dispatch is charged.
     co_await sim_->yield();
     FaultQueue &q = faultQueues_[mgr];
-    const auto &c = config_.cost;
     while (!q.pending.empty()) {
         std::vector<PendingFault> batch = std::move(q.pending);
         q.pending.clear();
@@ -1020,27 +973,8 @@ Kernel::drainFaultQueue(SegmentManager *mgr)
         for (const PendingFault &p : batch)
             faults.push_back(p.f);
         try {
-            if (mgr->mode() == hw::ManagerMode::SameProcess) {
-                co_await sim_->delay(c.faultDispatch + c.upcall);
-                co_await mgr->handleFaults(*this, faults);
-                co_await sim_->delay(config_.resumeThroughKernel
-                                         ? c.kernelResume
-                                         : c.directResume);
-            } else {
-                co_await sim_->delay(c.faultDispatch + c.ipcSend +
-                                     c.contextSwitch);
-                sim::SimMutex &lock = managerLock(mgr);
-                co_await lock.lock();
-                try {
-                    co_await mgr->handleFaults(*this, faults);
-                } catch (...) {
-                    lock.unlock();
-                    throw;
-                }
-                lock.unlock();
-                co_await sim_->delay(c.ipcReply + c.contextSwitch +
-                                     c.trapExit);
-            }
+            co_await crossToManager(mgr, config_.cost.faultDispatch,
+                                    mgr->handleFaults(*this, faults));
             for (std::size_t i = 0; i < batch.size(); ++i)
                 mgr->noteFaultHandled();
             for (PendingFault &p : batch)
@@ -1121,36 +1055,18 @@ sim::Task<>
 Kernel::runHandlerAttempt(SegmentManager *mgr, Fault f,
                           std::shared_ptr<sim::Promise<int>> done)
 {
-    const auto &c = config_.cost;
+    // A queued redelivery can find the fault already resolved by an
+    // earlier (stalled but eventually successful) attempt; invoking the
+    // handler again would double-install the page. The check runs
+    // inside the crossing, after any manager lock is taken.
+    auto unlessResolved = [](Kernel &k, SegmentManager *m,
+                             const Fault &fault) -> sim::Task<> {
+        if (!k.faultResolved(fault))
+            co_await k.invokeHandler(m, fault);
+    };
     try {
-        if (mgr->mode() == hw::ManagerMode::SameProcess) {
-            co_await sim_->delay(c.upcall);
-            // A queued redelivery can find the fault already resolved
-            // by an earlier (stalled but eventually successful)
-            // attempt; invoking the handler again would double-install
-            // the page.
-            if (!faultResolved(f))
-                co_await invokeHandler(mgr, f);
-            mgr->noteFaultHandled();
-            co_await sim_->delay(config_.resumeThroughKernel
-                                     ? c.kernelResume
-                                     : c.directResume);
-        } else {
-            co_await sim_->delay(c.ipcSend + c.contextSwitch);
-            sim::SimMutex &lock = managerLock(mgr);
-            co_await lock.lock();
-            try {
-                if (!faultResolved(f))
-                    co_await invokeHandler(mgr, f);
-            } catch (...) {
-                lock.unlock();
-                throw;
-            }
-            lock.unlock();
-            mgr->noteFaultHandled();
-            co_await sim_->delay(c.ipcReply + c.contextSwitch +
-                                 c.trapExit);
-        }
+        co_await crossToManager(mgr, 0, unlessResolved(*this, mgr, f));
+        mgr->noteFaultHandled();
         if (!done->fulfilled())
             done->setValue(0);
     } catch (...) {
@@ -1266,7 +1182,6 @@ Kernel::reclaimUnresponsive(SegmentManager *mgr)
         if (!victims.empty())
             bumpSegEpoch(sid);
     }
-    invalidateResolutions();
     if (reclaimed)
         bumpSegEpoch(kPhysSegment);
     return reclaimed;
@@ -1275,27 +1190,9 @@ Kernel::reclaimUnresponsive(SegmentManager *mgr)
 sim::Task<>
 Kernel::notifyClosed(SegmentManager *mgr, SegmentId seg)
 {
-    const auto &c = config_.cost;
     mgr->noteCall();
     ++stats_.managerCalls;
-    if (mgr->mode() == hw::ManagerMode::SameProcess) {
-        co_await sim_->delay(c.upcall);
-        co_await mgr->segmentClosed(*this, seg);
-        co_await sim_->delay(config_.resumeThroughKernel ? c.kernelResume
-                                                         : c.directResume);
-    } else {
-        co_await sim_->delay(c.ipcSend + c.contextSwitch);
-        sim::SimMutex &lock = managerLock(mgr);
-        co_await lock.lock();
-        try {
-            co_await mgr->segmentClosed(*this, seg);
-        } catch (...) {
-            lock.unlock();
-            throw;
-        }
-        lock.unlock();
-        co_await sim_->delay(c.ipcReply + c.contextSwitch + c.trapExit);
-    }
+    co_await crossToManager(mgr, 0, mgr->segmentClosed(*this, seg));
 }
 
 sim::Task<>

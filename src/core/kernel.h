@@ -19,7 +19,6 @@
 #ifndef VPP_CORE_KERNEL_H
 #define VPP_CORE_KERNEL_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -271,8 +270,8 @@ class Kernel
         std::uint64_t segmentsDestroyed = 0;
         std::uint64_t tlbMisses = 0;
 
-        // Resolve front-cache effectiveness (host-side counters: no
-        // simulated time or events depend on them).
+        // Always 0: resolve() keeps no cache. Kept only because the
+        // end-to-end benchmark still reads them.
         std::uint64_t resolveHits = 0;
         std::uint64_t resolveMisses = 0;
 
@@ -312,13 +311,12 @@ class Kernel
     /** Result of resolving a segment reference (exposed for tests). */
     using Resolution = ::vpp::kernel::Resolution;
 
-    Resolution resolve(SegmentId seg, PageIndex page);
-
     /**
-     * Resolve without consulting or filling the front-cache: the
-     * linear-rescan oracle differential tests compare against.
+     * Walk the binding chain from (seg, page) to the entry that backs
+     * it, or to the page a fault must fill. Caches nothing, so it is
+     * also the oracle the per-CPU cache tests compare against.
      */
-    Resolution resolveUncached(SegmentId seg, PageIndex page);
+    Resolution resolve(SegmentId seg, PageIndex page);
 
     // ------------------------------------------------------------------
     // Shared-kernel sharding: per-CPU resolve caches and fault queues
@@ -348,7 +346,8 @@ class Kernel
     /**
      * Create @p cpus per-CPU resolve caches (replacing any existing
      * ones). @p snapshot_epochs selects snapshot validation (sharded
-     * runs) over live validation (single-shard runs).
+     * runs) over live validation (single-shard runs). Every per-CPU
+     * call below throws KernelError for a CPU id outside [0, cpus).
      */
     void configureCpus(unsigned cpus, bool snapshot_epochs);
 
@@ -425,6 +424,18 @@ class Kernel
     sim::SimMutex &managerLock(SegmentManager *mgr);
 
     /**
+     * The kernel -> manager crossing, the one owner of its per-mode
+     * charges (Table 1). A same-process manager is entered by an
+     * upcall and left by a resume; a separate-process manager by an
+     * IPC send and context switch, then serialised on its lock, and
+     * left by the reply, a context switch and the trap exit. @p pre is
+     * charged together with the entry. A throwing @p body releases the
+     * lock and the exception propagates.
+     */
+    sim::Task<> crossToManager(SegmentManager *mgr, sim::Duration pre,
+                               sim::Task<> body);
+
+    /**
      * Invoke the handler, applying manager-layer fault injection
      * (stall / crash / lie) unless @p mgr is the trusted default
      * manager. With no engine attached this is a plain handleFault.
@@ -465,30 +476,17 @@ class Kernel
     void resolveForInstall(SegmentId &seg, PageIndex &page) const;
 
     /**
-     * Invalidate every segment's one-entry resolve cache. Called by
-     * anything that changes what resolve() could observe: migrations,
-     * bind/unbind, flag edits, segment destruction.
-     */
-    void invalidateResolutions()
-    {
-        resolveEpoch_.store(
-            resolveEpoch_.load(std::memory_order_relaxed) + 1,
-            std::memory_order_release);
-    }
-
-    /**
      * Bump one segment's mutation epoch, invalidating exactly the
-     * per-CPU entries whose resolution chain passed through it. Every
-     * invalidateResolutions() site also names the segments it touched
-     * via this — the global epoch stays the coarse per-Segment cache
-     * protocol, the per-segment epochs the fine-grained per-CPU one.
+     * per-CPU entries whose resolution chain passed through it. Called
+     * by anything that changes what resolve() could observe through
+     * that segment: migrations, bind/unbind, flag edits, reclamation
+     * and segment destruction.
      */
     void bumpSegEpoch(SegmentId s)
     {
         if (s < segEpochs_.size()) [[likely]]
             ++segEpochs_[s];
     }
-
 
     void sweepToPhysSegment(Segment &seg);
 
@@ -576,6 +574,17 @@ class Kernel
         std::vector<PendingCpuTouch> pending;
     };
 
+    /** The CPU's state; unknown ids throw, as segmentOrThrow does. */
+    CpuState &
+    cpuOrThrow(unsigned cpu) const
+    {
+        if (cpu < cpus_.size()) [[likely]]
+            return *cpus_[cpu];
+        throwBadCpu(cpu);
+    }
+
+    [[noreturn]] static void throwBadCpu(unsigned cpu);
+
     sim::Task<> drainCpuTouches();
     sim::Task<> runCpuTouch(PendingCpuTouch t);
 
@@ -594,7 +603,6 @@ class Kernel
 
     std::unique_ptr<hw::Tlb> tlb_;
     Stats stats_;
-    std::atomic<std::uint64_t> resolveEpoch_{1}; ///< segment caches start at 0
     ResiliencePolicy resilience_;
     SegmentManager *defaultMgr_ = nullptr;
     inject::Engine *inject_ = nullptr;
@@ -602,26 +610,12 @@ class Kernel
 };
 
 /**
- * Per-thread resolve front-cache counters, following the pattern of
- * hw's thread-local disk counters: the sweep runner resets them per
- * row and reports them on the (undiffed) stderr cost line, keeping
- * the committed stdout/JSON tables byte-identical.
- */
-void resetThreadResolveCounters();
-std::uint64_t threadResolveHits();
-std::uint64_t threadResolveMisses();
-
-/**
- * Fold externally-merged counts (e.g. per-CPU cache hits gathered in
- * CPU-id order after a shared-kernel run) into this thread's resolve
- * counters so they show on the sweep cost line.
- */
-void addThreadResolveCounts(std::uint64_t hits, std::uint64_t misses);
-
-/**
- * Per-thread memory-market counters, same pattern: the SPCM reports
- * auction rounds, bids carried in them, and the worst unserved-bid age
- * here; the sweep runner surfaces them on the stderr cost line. They
+ * Per-thread memory-market counters, following the pattern of hw's
+ * thread-local disk counters: the SPCM reports auction rounds, bids
+ * carried in them, and the worst unserved-bid age here; the sweep
+ * runner resets them per row and surfaces them on the (undiffed)
+ * stderr cost line, keeping the committed stdout/JSON tables
+ * byte-identical. They
  * live in the core library (not managers) so the sweep layer can
  * reference them from benches that do not link vpp_managers.
  */

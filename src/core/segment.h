@@ -10,10 +10,7 @@
  *
  * Pages live in a two-level sparse table (page_table.h) with O(1)
  * lookup; bindings are kept sorted by start page so the covering
- * region is found by binary search. Each segment also carries a
- * two-level prime-hashed front-cache of resolve() results (primary
- * direct-mapped array plus a smaller victim array), validated against
- * the kernel's mutation epoch.
+ * region is found by binary search.
  */
 
 #ifndef VPP_CORE_SEGMENT_H
@@ -65,85 +62,6 @@ struct Resolution
 };
 
 /**
- * Two-level prime-hashed resolve() front-cache.
- *
- * An open-addressed, direct-mapped primary array backed by a smaller
- * victim (secondary) array, in the style of shadowOS's page cache: a
- * primary miss probes the victim slot, and a victim hit promotes the
- * entry back to primary (demoting whatever it displaces). Entries are
- * validated against the kernel's global mutation epoch, so every
- * MigratePages / bind / unbind / flag edit / segment destruction
- * strictly invalidates the whole cache in O(1) (the epoch bump), with
- * no per-entry sweeping. Storage is allocated lazily on first store;
- * segments that never fault through resolve() pay nothing.
- */
-class ResolveCache
-{
-  public:
-    const Resolution *
-    lookup(PageIndex p, std::uint64_t epoch)
-    {
-        if (!slots_)
-            return nullptr;
-        Entry &e = slots_[h1(p)];
-        if (e.epoch == epoch && e.page == p)
-            return &e.res;
-        Entry &v = slots_[kPrimary + h2(p)];
-        if (v.epoch == epoch && v.page == p) {
-            // Victim hit: promote to primary, demote the displaced
-            // entry into the victim slot it hashes to (here).
-            std::swap(e, v);
-            return &e.res;
-        }
-        return nullptr;
-    }
-
-    void
-    store(PageIndex p, const Resolution &r, std::uint64_t epoch)
-    {
-        if (!slots_) {
-            // Value-initialised: epoch 0 never matches (the kernel's
-            // epoch starts at 1).
-            slots_ = std::make_unique<Entry[]>(kPrimary + kSecondary);
-        }
-        Entry &e = slots_[h1(p)];
-        if (e.epoch == epoch && e.page != p)
-            slots_[kPrimary + h2(e.page)] = e; // keep the old entry warm
-        e.page = p;
-        e.epoch = epoch;
-        e.res = r;
-    }
-
-  private:
-    struct Entry
-    {
-        PageIndex page = 0;
-        std::uint64_t epoch = 0; ///< 0 == never valid
-        Resolution res;
-    };
-
-    static constexpr std::uint32_t kPrimary = 128;
-    static constexpr std::uint32_t kSecondary = 64;
-
-    /** Fibonacci-style prime multiplicative hashes (shadowOS). */
-    static std::uint32_t
-    h1(PageIndex p)
-    {
-        return static_cast<std::uint32_t>(
-            (p * 0x9e3779b97f4a7c15ull) >> 57); // top 7 bits: 0..127
-    }
-
-    static std::uint32_t
-    h2(PageIndex p)
-    {
-        return static_cast<std::uint32_t>(
-            (p * 0x7f4a7c159e3779b9ull) >> 58); // top 6 bits: 0..63
-    }
-
-    std::unique_ptr<Entry[]> slots_;
-};
-
-/**
  * Longest resolution chain a per-CPU cache entry will record. Deeper
  * chains (up to the kernel's binding-depth limit) still resolve, they
  * are just never cached per-CPU.
@@ -186,12 +104,14 @@ struct CpuResolution
 };
 
 /**
- * Per-CPU two-level hashed cache of CpuResolution values, the same
- * primary+victim shape as ResolveCache but keyed by (segment, page)
- * and validated against the per-segment epoch table instead of the
- * global epoch. One instance per simulated CPU; during a sharded run
- * each instance is probed and filled only by the shard that owns its
- * CPU, so it needs no locking.
+ * Per-CPU two-level hashed cache of CpuResolution values, keyed by
+ * (segment, page) and validated against the per-segment epoch table.
+ * An open-addressed, direct-mapped primary array is backed by a smaller
+ * victim array, in the style of shadowOS's page cache: a primary miss
+ * probes the victim slot, and a victim hit promotes the entry back to
+ * primary. Storage is allocated on the first store. One instance per
+ * simulated CPU; during a sharded run each instance is probed and
+ * filled only by the shard that owns its CPU, so it needs no locking.
  */
 class CpuResolveCache
 {
@@ -363,25 +283,6 @@ class Segment
         return p < pageLimit_;
     }
 
-    /**
-     * Hashed resolve() front-cache. A hit requires the queried page's
-     * entry to carry a kernel mutation epoch unchanged since the
-     * store; any migrate/bind/unbind/flag edit bumps the epoch and
-     * invalidates every segment's cache at once.
-     */
-    const Resolution *
-    cachedResolution(PageIndex p, std::uint64_t epoch) const
-    {
-        return rcache_.lookup(p, epoch);
-    }
-
-    void
-    storeResolution(PageIndex p, const Resolution &r,
-                    std::uint64_t epoch) const
-    {
-        rcache_.store(p, r, epoch);
-    }
-
   private:
     SegmentId id_;
     std::string name_;
@@ -391,8 +292,6 @@ class Segment
     SegmentManager *manager_ = nullptr;
     PageTable pages_;
     std::vector<Binding> bindings_; ///< sorted by Binding::start
-
-    mutable ResolveCache rcache_;
 };
 
 } // namespace vpp::kernel

@@ -290,9 +290,6 @@ runSharedKernelStudy(const SharedKernelParams &params)
     }
     for (auto &pool : w->pools)
         busy += pool->busyTime();
-    // Fold the per-CPU cache counters into this thread's resolve
-    // counters so the sweep's stderr cost line reports them.
-    kernel::addThreadResolveCounts(r.probeHits, r.probeMisses);
 
     const kernel::Kernel::Stats &ks = w->kern.stats();
     r.faults = ks.faults;

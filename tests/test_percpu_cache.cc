@@ -2,7 +2,7 @@
  * @file
  * Differential tests for the shared-kernel per-CPU resolve caches:
  * every CpuResolveCache hit is checked against the cache-free
- * binding-chain walk (resolveUncached) across the mutation classes
+ * binding-chain walk (Kernel::resolve) across the mutation classes
  * that must invalidate it — MigratePages, bind/unbind, flag edits,
  * segment teardown and an injected crash-failover sweep — plus the
  * chain-locality property (mutating an unrelated segment must NOT
@@ -65,7 +65,7 @@ expectMatchesOracle(const CpuResolution &c, const Resolution &o,
 void
 diffProbe(Kernel &k, unsigned cpu, SegmentId s, PageIndex p)
 {
-    Resolution oracle = k.resolveUncached(s, p);
+    Resolution oracle = k.resolve(s, p);
     if (const CpuResolution *hit = k.cpuResolve(cpu, s, p))
         expectMatchesOracle(*hit, oracle, s, p);
     CpuResolution fresh = k.resolveForCpu(s, p);
@@ -81,7 +81,7 @@ diffProbe(Kernel &k, unsigned cpu, SegmentId s, PageIndex p)
     }
 }
 
-/** The file <- cow - data <- va chain used by the resolve() suite. */
+/** The file <- cow - data <- va chain the differential tests walk. */
 struct ChainRig
 {
     explicit ChainRig(bool snapshot = false) : kern(s, smallMachine())
@@ -118,8 +118,7 @@ TEST(PerCpuCache, HitsAreCountedAndAgreeWithOracle)
     const CpuResolution *hit = r.kern.cpuResolve(0, r.va, 7);
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(r.kern.cpuHits(0), 1u);
-    expectMatchesOracle(*hit, r.kern.resolveUncached(r.va, 7), r.va,
-                        7);
+    expectMatchesOracle(*hit, r.kern.resolve(r.va, 7), r.va, 7);
     // CPU 1's cache is its own: still cold.
     EXPECT_EQ(r.kern.cpuResolve(1, r.va, 7), nullptr);
     EXPECT_EQ(r.kern.cpuHits(1), 0u);
@@ -133,9 +132,11 @@ TEST(PerCpuCache, DifferentialAfterMigratePages)
     // Move frames out of the bound file: cached "present at file"
     // entries walked through it and must die with its epoch.
     r.kern.migratePagesNow(r.file, spare, 0, 0, 64, 0, 0);
-    for (PageIndex p = 0; p < 64; ++p)
+    for (PageIndex p = 0; p < 64; ++p) {
         EXPECT_EQ(r.kern.cpuResolve(0, r.va, p), nullptr)
             << "page " << p << " survived the migrate";
+        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
+    }
     for (PageIndex p = 0; p < 256; ++p)
         diffProbe(r.kern, 0, r.va, p);
     // And back again.
@@ -152,6 +153,7 @@ TEST(PerCpuCache, DifferentialAfterUnbind)
     for (PageIndex p = 0; p < 256; ++p) {
         EXPECT_EQ(r.kern.cpuResolve(0, r.va, p), nullptr)
             << "page " << p << " survived the unbind";
+        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
         diffProbe(r.kern, 0, r.va, p);
     }
     r.kern.bindRegionNow(r.va, 16, 64, r.data, 32, flag::kProtMask);
@@ -181,6 +183,7 @@ TEST(PerCpuCache, DifferentialAfterSegmentTeardown)
     // through va is invalid, and probing the dead id itself misses
     // rather than touching freed state.
     EXPECT_EQ(r.kern.cpuResolve(0, r.va, 0), nullptr);
+    EXPECT_THROW((void)r.kern.resolve(r.va, 0), KernelError);
 
     for (PageIndex p = 0; p < 256; ++p)
         r.kern.cpuStore(0, r.kern.resolveForCpu(r.data, p));
@@ -216,8 +219,7 @@ TEST(PerCpuCache, ChainLocalityUnrelatedMutationKeepsEntries)
         const CpuResolution *hit = r.kern.cpuResolve(0, r.va, p);
         ASSERT_NE(hit, nullptr) << "page " << p
                                 << " flushed by unrelated mutation";
-        expectMatchesOracle(*hit, r.kern.resolveUncached(r.va, p),
-                            r.va, p);
+        expectMatchesOracle(*hit, r.kern.resolve(r.va, p), r.va, p);
     }
     EXPECT_EQ(r.kern.cpuHits(0), hitsBefore + pages.size());
 
@@ -247,7 +249,7 @@ TEST(PerCpuCache, DeepChainsAreUncacheable)
         prev = hop;
     }
     // Chain from the top: hop3 -> hop2 -> hop1 -> hop0 -> bottom.
-    ASSERT_TRUE(kern.resolveUncached(prev, 3).present);
+    ASSERT_TRUE(kern.resolve(prev, 3).present);
     CpuResolution deep = kern.resolveForCpu(prev, 3);
     EXPECT_EQ(deep.chainLen, 0u);
     kern.cpuStore(0, deep); // must be ignored
@@ -292,8 +294,7 @@ TEST(PerCpuCache, SnapshotModeFreshFillConservativeUntilPublish)
     r.kern.publishCpuEpochs();
     const CpuResolution *hit = r.kern.cpuResolve(0, r.va, 7);
     ASSERT_NE(hit, nullptr);
-    expectMatchesOracle(*hit, r.kern.resolveUncached(r.va, 7), r.va,
-                        7);
+    expectMatchesOracle(*hit, r.kern.resolve(r.va, 7), r.va, 7);
 }
 
 TEST(PerCpuCache, RandomizedDifferentialStress)
@@ -451,6 +452,14 @@ TEST(PerCpuFaultQueue, UnknownCpuThrows)
         runTask(s, kern.touchOnCpu(7, proc, seg, 0,
                                    AccessType::Read)),
         KernelError);
+    EXPECT_THROW((void)kern.cpuResolve(2, seg, 0), KernelError);
+    // A non-present resolution is never stored, but the CPU id is
+    // still checked.
+    CpuResolution absent = kern.resolveForCpu(seg, 0);
+    ASSERT_FALSE(absent.present);
+    EXPECT_THROW(kern.cpuStore(2, absent), KernelError);
+    EXPECT_THROW((void)kern.cpuHits(2), KernelError);
+    EXPECT_THROW((void)kern.cpuMisses(2), KernelError);
 }
 
 // ----------------------------------------------------------------------
