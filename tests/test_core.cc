@@ -614,15 +614,15 @@ struct CrossingCase
     ManagerMode mode;
 };
 
-std::string
-crossingCaseName(const ::testing::TestParamInfo<CrossingCase> &info)
+/** Names each case, e.g. ClassicSameProcess, in the CTest listing. */
+void
+PrintTo(const CrossingCase &c, std::ostream *os)
 {
     static const char *const kNames[] = {"Classic", "Coalesced",
                                          "Resilient", "Close"};
-    return std::string(kNames[static_cast<int>(info.param.crossing)]) +
-           (info.param.mode == ManagerMode::SameProcess
-                ? "SameProcess"
-                : "SeparateProcess");
+    *os << kNames[static_cast<int>(c.crossing)]
+        << (c.mode == ManagerMode::SameProcess ? "SameProcess"
+                                               : "SeparateProcess");
 }
 
 /**
@@ -782,8 +782,7 @@ INSTANTIATE_TEST_SUITE_P(
         CrossingCase{Crossing::Resilient, ManagerMode::SameProcess},
         CrossingCase{Crossing::Resilient, ManagerMode::SeparateProcess},
         CrossingCase{Crossing::Close, ManagerMode::SameProcess},
-        CrossingCase{Crossing::Close, ManagerMode::SeparateProcess}),
-    crossingCaseName);
+        CrossingCase{Crossing::Close, ManagerMode::SeparateProcess}));
 
 TEST_F(KernelTest, SeparateProcessManagerSerializesFaults)
 {
