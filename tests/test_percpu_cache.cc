@@ -8,8 +8,10 @@
  * chain-locality property (mutating an unrelated segment must NOT
  * invalidate), the snapshot-epoch publish protocol, the per-CPU fault
  * in-queues, and byte-identity of the shared-kernel study across
- * worker counts. Suite names (PerCpu*, SharedKernel*) are part of the
- * CI tsan regex.
+ * worker counts. The oracle itself is checked against the owning
+ * segments' page tables after unbind, MigratePages and teardown (the
+ * ResolveCache suite: resolve() must never answer from stale state).
+ * Suite names (PerCpu*, SharedKernel*) are part of the CI tsan regex.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +110,91 @@ struct ChainRig
     SegmentId file = 0, data = 0, va = 0;
 };
 
+// ----------------------------------------------------------------------
+// The oracle itself: resolve() keeps no cache of its own, so every
+// mutation must show in its very next answer. Checked against the
+// owning segment's page table, not against another walk.
+// ----------------------------------------------------------------------
+
+/** resolve(s, p) must land on @p owner's page @p ownerPage entry. */
+void
+expectResolvesTo(Kernel &k, SegmentId s, PageIndex p, SegmentId owner,
+                 PageIndex ownerPage)
+{
+    Resolution r = k.resolve(s, p);
+    ASSERT_TRUE(r.present) << "seg " << s << " page " << p;
+    EXPECT_EQ(r.seg, owner) << "seg " << s << " page " << p;
+    EXPECT_EQ(r.page, ownerPage) << "seg " << s << " page " << p;
+    EXPECT_EQ(r.entry, k.segment(owner).findPage(ownerPage))
+        << "seg " << s << " page " << p;
+}
+
+TEST(ResolveCache, DifferentialAfterUnbind)
+{
+    ChainRig r;
+    for (PageIndex p = 0; p < 256; ++p)
+        expectResolvesTo(r.kern, r.va, p, r.file, p);
+    r.kern.unbindRegionNow(r.va, 0);
+    for (PageIndex p = 0; p < 256; ++p)
+        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
+    // Rebind a shifted window: va[16, 80) -> data[32, 96) -> file.
+    r.kern.bindRegionNow(r.va, 16, 64, r.data, 32, flag::kProtMask);
+    for (PageIndex p = 0; p < 256; ++p) {
+        if (p >= 16 && p < 80)
+            expectResolvesTo(r.kern, r.va, p, r.file, p + 16);
+        else
+            EXPECT_FALSE(r.kern.resolve(r.va, p).present)
+                << "page " << p;
+    }
+}
+
+TEST(ResolveCache, DifferentialAfterMigratePages)
+{
+    ChainRig r;
+    std::vector<hw::FrameId> frames;
+    for (PageIndex p = 0; p < 256; ++p)
+        frames.push_back(r.kern.resolve(r.va, p).entry->frame);
+    SegmentId spare = r.kern.createSegmentNow("spare", 4096, 256, 0);
+    // Move frames out of the bound file: va's first 64 pages lose
+    // their backing, the rest still reach the file.
+    r.kern.migratePagesNow(r.file, spare, 0, 0, 64, 0, 0);
+    for (PageIndex p = 0; p < 256; ++p) {
+        if (p < 64)
+            EXPECT_FALSE(r.kern.resolve(r.va, p).present)
+                << "page " << p;
+        else
+            expectResolvesTo(r.kern, r.va, p, r.file, p);
+    }
+    // And back again: the same frames are reached once more.
+    r.kern.migratePagesNow(spare, r.file, 0, 0, 64, 0, 0);
+    for (PageIndex p = 0; p < 256; ++p) {
+        expectResolvesTo(r.kern, r.va, p, r.file, p);
+        EXPECT_EQ(r.kern.resolve(r.va, p).entry->frame, frames[p])
+            << "page " << p;
+    }
+}
+
+TEST(ResolveCache, DifferentialAfterSegmentTeardown)
+{
+    ChainRig r;
+    // Tear the chain down from the top (the kernel refuses to destroy
+    // a segment that is still the target of bound regions).
+    runTask(r.s, r.kern.destroySegment(r.va));
+    EXPECT_THROW((void)r.kern.resolve(r.va, 0), KernelError);
+    for (PageIndex p = 0; p < 256; ++p)
+        expectResolvesTo(r.kern, r.data, p, r.file, p);
+    runTask(r.s, r.kern.destroySegment(r.data));
+    EXPECT_THROW((void)r.kern.resolve(r.data, 0), KernelError);
+
+    // file's frames survive; a fresh segment bound to it reaches them.
+    SegmentId va2 = r.kern.createSegmentNow("va2", 4096, 256, 0);
+    r.kern.bindRegionNow(va2, 0, 256, r.file, 0, flag::kProtMask);
+    for (PageIndex p = 0; p < 256; ++p) {
+        expectResolvesTo(r.kern, r.file, p, r.file, p);
+        expectResolvesTo(r.kern, va2, p, r.file, p);
+    }
+}
+
 TEST(PerCpuCache, HitsAreCountedAndAgreeWithOracle)
 {
     ChainRig r;
@@ -132,11 +219,9 @@ TEST(PerCpuCache, DifferentialAfterMigratePages)
     // Move frames out of the bound file: cached "present at file"
     // entries walked through it and must die with its epoch.
     r.kern.migratePagesNow(r.file, spare, 0, 0, 64, 0, 0);
-    for (PageIndex p = 0; p < 64; ++p) {
+    for (PageIndex p = 0; p < 64; ++p)
         EXPECT_EQ(r.kern.cpuResolve(0, r.va, p), nullptr)
             << "page " << p << " survived the migrate";
-        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
-    }
     for (PageIndex p = 0; p < 256; ++p)
         diffProbe(r.kern, 0, r.va, p);
     // And back again.
@@ -153,7 +238,6 @@ TEST(PerCpuCache, DifferentialAfterUnbind)
     for (PageIndex p = 0; p < 256; ++p) {
         EXPECT_EQ(r.kern.cpuResolve(0, r.va, p), nullptr)
             << "page " << p << " survived the unbind";
-        EXPECT_FALSE(r.kern.resolve(r.va, p).present) << "page " << p;
         diffProbe(r.kern, 0, r.va, p);
     }
     r.kern.bindRegionNow(r.va, 16, 64, r.data, 32, flag::kProtMask);
@@ -183,7 +267,6 @@ TEST(PerCpuCache, DifferentialAfterSegmentTeardown)
     // through va is invalid, and probing the dead id itself misses
     // rather than touching freed state.
     EXPECT_EQ(r.kern.cpuResolve(0, r.va, 0), nullptr);
-    EXPECT_THROW((void)r.kern.resolve(r.va, 0), KernelError);
 
     for (PageIndex p = 0; p < 256; ++p)
         r.kern.cpuStore(0, r.kern.resolveForCpu(r.data, p));
