@@ -19,6 +19,10 @@
  *    kernel's resilience policy (deadline, redelivery, failover to
  *    the trusted default manager) bounds the damage.
  *
+ * Two "batched" rows repeat the flaky rows with batched fault delivery
+ * (MachineConfig::faultCoalescing) on. With one faulting process every
+ * batch holds one fault, so they must match their per-fault twins.
+ *
  * Headline: V++ completes every transaction at every injected rate —
  * external management degrades gracefully because the default-manager
  * fallback is always available — while the only way the conventional
@@ -115,9 +119,10 @@ vppTxnLoop(apps::VppStack &st, mgr::DefaultSegmentManager &app_mgr,
 vppbench::RowResult
 runVppRow(double disk_err, double flaky, double storm_prob,
           std::uint64_t row_seed, int attach_engine /* 0 no, 1 yes */,
-          bool engine_enabled)
+          bool engine_enabled, bool batched)
 {
     hw::MachineConfig machine = hw::decstation5000_200();
+    machine.faultCoalescing = batched;
     apps::VppStack st(machine);
 
     // The application's own manager: same implementation as the UCDS
@@ -195,6 +200,8 @@ runVppRow(double disk_err, double flaky, double storm_prob,
                     : 0.0);
     r.set("max_fault_us", sim::toUsec(ks.faultLatencyMax));
     r.set("invariant_ok", invariant_ok ? 1.0 : 0.0);
+    if (batched)
+        r.set("fault_batches", static_cast<double>(ks.faultBatches));
     return r;
 }
 
@@ -292,6 +299,7 @@ main(int argc, char **argv)
         double storm;
         int attach;   ///< attach an engine object at all
         bool enabled; ///< Config::enabled
+        int twin = -1; ///< batched row: the per-fault row it repeats
     };
     std::vector<Row> rows = {
         {"v++ clean (no engine)", true, 0, 0, 0, 0, false},
@@ -305,16 +313,20 @@ main(int argc, char **argv)
         {"ultrix clean", false, 0, 0, 0, 1, false},
         {"ultrix disk-err 0.5%", false, 0.005, 0, 0, 1, true},
         {"ultrix disk-err 2%", false, 0.02, 0, 0, 1, true},
+        {"v++ batched flaky 50%", true, 0, 0.50, 0, 1, true, 5},
+        {"v++ batched disk+flaky", true, 0.02, 0.50, 0, 1, true, 6},
     };
 
     vppbench::Sweep sweep("table_robustness", opt);
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &row = rows[i];
-        std::uint64_t seed = 100 + i;
+        // A batched row draws its twin's injection stream.
+        std::uint64_t seed = 100 + (row.twin >= 0 ? row.twin : i);
         if (row.isVpp) {
             sweep.add(row.label, [row, seed] {
                 return runVppRow(row.diskErr, row.flaky, row.storm,
-                                 seed, row.attach, row.enabled);
+                                 seed, row.attach, row.enabled,
+                                 row.twin >= 0);
             });
         } else {
             sweep.add(row.label, [row, seed] {
@@ -411,6 +423,21 @@ main(int argc, char **argv)
                sweep.get(5, "manager_crashes") > 0);
     check.that("storm row: storms triggered",
                sweep.get(7, "storms") > 0);
+
+    // Batched rows: one faulting process means batches of one, so
+    // resilience and injection compose with batching unchanged.
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (rows[i].twin < 0)
+            continue;
+        const std::size_t twin = static_cast<std::size_t>(rows[i].twin);
+        check.that(sweep.label(i) + ": batches formed",
+                   sweep.get(i, "fault_batches") > 0);
+        for (const auto &[name, value] : sweep.at(twin).metrics) {
+            check.that(sweep.label(i) + ": " + name + " matches " +
+                           sweep.label(twin),
+                       sweep.get(i, name) == value);
+        }
+    }
 
     // Degradation is bounded: even the harshest row keeps a usable
     // fraction of clean throughput (the fallback path is the brake).

@@ -849,14 +849,15 @@ Kernel::managerLock(SegmentManager *mgr)
     return *slot;
 }
 
+template <typename Body>
 sim::Task<>
-Kernel::crossToManager(SegmentManager *mgr, sim::Duration pre,
-                       sim::Task<> body)
+Kernel::crossToManager(SegmentManager *mgr, sim::Duration pre, Body body)
 {
     const auto &c = config_.cost;
     if (mgr->mode() == hw::ManagerMode::SameProcess) {
         co_await sim_->delay(pre + c.upcall);
-        co_await std::move(body);
+        if (sim::Task<> t = body(); t.valid())
+            co_await std::move(t);
         co_await sim_->delay(config_.resumeThroughKernel ? c.kernelResume
                                                          : c.directResume);
         co_return;
@@ -865,7 +866,8 @@ Kernel::crossToManager(SegmentManager *mgr, sim::Duration pre,
     sim::SimMutex &lock = managerLock(mgr);
     co_await lock.lock();
     try {
-        co_await std::move(body);
+        if (sim::Task<> t = body(); t.valid())
+            co_await std::move(t);
     } catch (...) {
         lock.unlock();
         throw;
@@ -897,24 +899,16 @@ Kernel::deliverFault(Fault f)
     const sim::SimTime fault_start = sim_->now();
     const auto &c = config_.cost;
 
-    if (config_.faultCoalescing && !resilience_.enabled &&
-        !(inject_ && inject_->enabled())) {
-        // Batched delivery: each faulting thread pays its own trap
-        // entry, then parks on the manager's coalescing queue; the
-        // dispatch/upcall (or IPC round trip) is charged once per
-        // drained batch instead of once per fault.
+    if (config_.faultCoalescing) {
+        // Each faulting thread pays its own trap entry, then parks on
+        // the manager's queue; the drain charges faultDispatch once
+        // per batch.
         co_await sim_->delay(c.trapEnter);
         co_await enqueueCoalesced(mgr, f);
     } else {
+        // Inline: a batch of one, with no spawn and no yield.
         co_await sim_->delay(c.trapEnter + c.faultDispatch);
-        mgr->noteCall();
-        ++stats_.managerCalls;
-        if (resilience_.enabled) {
-            co_await deliverResilient(mgr, f);
-        } else {
-            co_await crossToManager(mgr, 0, invokeHandler(mgr, f));
-            mgr->noteFaultHandled();
-        }
+        co_await deliverBatch(mgr, FaultBatch(1, f), 0);
     }
 
     // Copy-on-write: the kernel performs the copy after the manager
@@ -966,22 +960,18 @@ Kernel::drainFaultQueue(SegmentManager *mgr)
         q.pending.clear();
         ++stats_.faultBatches;
         stats_.faultsCoalesced += batch.size();
-        mgr->noteCall();
-        ++stats_.managerCalls;
-        std::vector<Fault> faults;
+        FaultBatch faults;
         faults.reserve(batch.size());
         for (const PendingFault &p : batch)
             faults.push_back(p.f);
         try {
-            co_await crossToManager(mgr, config_.cost.faultDispatch,
-                                    mgr->handleFaults(*this, faults));
-            for (std::size_t i = 0; i < batch.size(); ++i)
-                mgr->noteFaultHandled();
+            co_await deliverBatch(mgr, std::move(faults),
+                                  config_.cost.faultDispatch);
             for (PendingFault &p : batch)
                 p.done->setValue();
         } catch (...) {
             // The batch fails as a unit; every parked fault rethrows
-            // the handler's error from its own delivery context.
+            // the error from its own delivery context.
             for (PendingFault &p : batch)
                 p.done->setError(std::current_exception());
         }
@@ -990,43 +980,149 @@ Kernel::drainFaultQueue(SegmentManager *mgr)
 }
 
 sim::Task<>
-Kernel::invokeHandler(SegmentManager *mgr, const Fault &f)
+Kernel::deliverBatch(SegmentManager *mgr, FaultBatch faults,
+                     sim::Duration pre)
 {
-    // The default manager is part of the trusted system base (like the
-    // kernel itself): injection campaigns target external managers.
-    // With no engine active, hand back the handler task directly so no
-    // wrapper coroutine frame sits between the kernel and the manager.
-    if (inject_ && inject_->enabled() && mgr != defaultMgr_)
-        [[unlikely]]
-        return invokeHandlerInjected(mgr, f);
-    return mgr->handleFault(*this, f);
+    mgr->noteCall();
+    ++stats_.managerCalls;
+    if (!resilience_.enabled) {
+        const std::size_t n = faults.size();
+        co_await crossToManager(
+            mgr, pre, [&] { return invokeHandler(mgr, faults); });
+        mgr->noteFaultsHandled(n);
+        co_return;
+    }
+
+    sim::Duration backoff = resilience_.retryBackoff;
+    bool failed_over = false;
+    for (int attempt = 0;; ++attempt) {
+        // Fulfilled with whether the deadline expired first.
+        auto done = std::make_shared<sim::Promise<bool>>(*sim_);
+        sim_->spawn(runHandlerAttempt(mgr, faults, attempt ? 0 : pre,
+                                      done));
+        // The default manager is the trusted base and there is nobody
+        // left to fail over to, so its attempt runs without a deadline
+        // (a slow disk must not turn an honest fill into
+        // "unresponsive"). The deadline is a plain scheduled callback:
+        // it claims its event sequence number right after the
+        // attempt's first charge.
+        if (!failed_over) {
+            sim_->schedule(sim_->now() + resilience_.faultDeadline,
+                           [done]() {
+                               if (!done->fulfilled())
+                                   done->setValue(true);
+                           });
+        }
+        if (co_await done->future()) {
+            ++stats_.faultTimeouts;
+            mgr->noteTimeout();
+        }
+        dropResolved(faults);
+        if (faults.empty())
+            co_return;
+        if (failed_over)
+            break;
+        if (attempt < resilience_.maxRedeliveries) {
+            stats_.faultRedeliveries += faults.size();
+            co_await sim_->delay(backoff);
+            backoff *= 2;
+            continue;
+        }
+        if (!resilience_.failover || !defaultMgr_ || defaultMgr_ == mgr)
+            break;
+        // Failover (§2.3): the kernel takes the segments away from the
+        // unresponsive manager, reclaims its clean frames, and hands
+        // the segments to the default manager for these faults and
+        // all future ones.
+        ++stats_.failovers;
+        mgr->noteFailover();
+        if (resilience_.reclaimOnFailover)
+            stats_.framesReclaimed += reclaimUnresponsive(mgr);
+        for (const Fault &f : faults)
+            setSegmentManagerNow(f.segment, defaultMgr_);
+        mgr = defaultMgr_;
+        mgr->noteCall();
+        ++stats_.managerCalls;
+        failed_over = true;
+    }
+    throw KernelError(KernelErrc::ManagerUnresponsive,
+                      "manager '" + mgr->name() + "' failed to resolve " +
+                          std::to_string(faults.size()) +
+                          " fault(s), first on segment " +
+                          std::to_string(faults.front().segment) +
+                          " page " + std::to_string(faults.front().page));
 }
 
 sim::Task<>
-Kernel::invokeHandlerInjected(SegmentManager *mgr, const Fault &f)
+Kernel::invokeHandler(SegmentManager *mgr, FaultBatch &faults)
 {
-    {
-        switch (inject_->managerAction()) {
-          case inject::ManagerAction::Stall:
-            ++stats_.injectedStalls;
-            co_await sim_->delay(inject_->managerStallTime());
-            // While the handler was wedged, redelivery or failover may
-            // have resolved the fault; running it now would install a
-            // second frame onto the same page.
-            if (faultResolved(f))
-                co_return;
-            break;
-          case inject::ManagerAction::Crash:
-            mgr->noteCrash();
-            throw inject::InjectedCrash(mgr->name());
-          case inject::ManagerAction::Lie:
-            ++stats_.injectedLies;
-            co_return; // returns "resolved" without doing anything
-          case inject::ManagerAction::None:
-            break;
-        }
+    // Checked after any manager lock: an earlier attempt, batch or
+    // racing process may have resolved a fault, and handling it again
+    // would install a second frame onto the same page.
+    dropResolved(faults);
+    if (faults.empty())
+        return {};
+    // The default manager is part of the trusted system base (like the
+    // kernel itself): injection campaigns target external managers.
+    if (inject_ && inject_->enabled() && mgr != defaultMgr_)
+        [[unlikely]]
+        return invokeHandlerInjected(mgr, faults);
+    return handlerFor(mgr, faults);
+}
+
+sim::Task<>
+Kernel::invokeHandlerInjected(SegmentManager *mgr, FaultBatch &faults)
+{
+    switch (inject_->managerAction()) {
+      case inject::ManagerAction::Stall:
+        ++stats_.injectedStalls;
+        co_await sim_->delay(inject_->managerStallTime());
+        // While the handler was wedged, redelivery or failover may
+        // have resolved some of the faults.
+        dropResolved(faults);
+        if (faults.empty())
+            co_return;
+        break;
+      case inject::ManagerAction::Crash:
+        mgr->noteCrash();
+        throw inject::InjectedCrash(mgr->name());
+      case inject::ManagerAction::Lie:
+        ++stats_.injectedLies;
+        co_return; // returns "resolved" without doing anything
+      case inject::ManagerAction::None:
+        break;
     }
-    co_await mgr->handleFault(*this, f);
+    co_await handlerFor(mgr, faults);
+}
+
+sim::Task<>
+Kernel::handlerFor(SegmentManager *mgr, const FaultBatch &faults)
+{
+    // Queue-formed batches reach handleFaults even at size one.
+    if (config_.faultCoalescing)
+        return mgr->handleFaults(*this, faults);
+    return mgr->handleFault(*this, faults.front());
+}
+
+sim::Task<>
+Kernel::runHandlerAttempt(SegmentManager *mgr, FaultBatch faults,
+                          sim::Duration pre,
+                          std::shared_ptr<sim::Promise<bool>> done)
+{
+    const std::size_t n = faults.size();
+    try {
+        co_await crossToManager(
+            mgr, pre, [&] { return invokeHandler(mgr, faults); });
+        mgr->noteFaultsHandled(n);
+    } catch (...) {
+        // Contain the failure: a crashing handler (injected or real)
+        // and a stalled handler erroring after its deadline must not
+        // tear down the simulation — surviving manager failure is the
+        // property under test.
+        ++stats_.managerCrashes;
+    }
+    if (!done->fulfilled())
+        done->setValue(false);
 }
 
 bool
@@ -1051,104 +1147,11 @@ Kernel::faultResolved(const Fault &f)
     return (e->flags & need) != 0;
 }
 
-sim::Task<>
-Kernel::runHandlerAttempt(SegmentManager *mgr, Fault f,
-                          std::shared_ptr<sim::Promise<int>> done)
+void
+Kernel::dropResolved(FaultBatch &faults)
 {
-    // A queued redelivery can find the fault already resolved by an
-    // earlier (stalled but eventually successful) attempt; invoking the
-    // handler again would double-install the page. The check runs
-    // inside the crossing, after any manager lock is taken.
-    auto unlessResolved = [](Kernel &k, SegmentManager *m,
-                             const Fault &fault) -> sim::Task<> {
-        if (!k.faultResolved(fault))
-            co_await k.invokeHandler(m, fault);
-    };
-    try {
-        co_await crossToManager(mgr, 0, unlessResolved(*this, mgr, f));
-        mgr->noteFaultHandled();
-        if (!done->fulfilled())
-            done->setValue(0);
-    } catch (...) {
-        // Contain the failure: a crashing handler (injected or real)
-        // and a stalled handler erroring after its deadline must not
-        // tear down the simulation — surviving manager failure is the
-        // property under test.
-        ++stats_.managerCrashes;
-        if (!done->fulfilled())
-            done->setValue(1);
-    }
-}
-
-sim::Task<bool>
-Kernel::attemptWithDeadline(SegmentManager *mgr, const Fault &f)
-{
-    auto done = std::make_shared<sim::Promise<int>>(*sim_);
-    sim_->spawn(runHandlerAttempt(mgr, f, done));
-    // The deadline is a plain scheduled callback, not a spawned
-    // watcher coroutine: it claims its event sequence number at the
-    // same program point delay() used to, so the event order (and the
-    // determinism goldens) are unchanged.
-    sim_->schedule(sim_->now() + resilience_.faultDeadline,
-                   [done]() {
-                       if (!done->fulfilled())
-                           done->setValue(2);
-                   });
-    const int outcome = co_await done->future();
-    if (outcome == 2) {
-        ++stats_.faultTimeouts;
-        mgr->noteTimeout();
-    }
-    co_return faultResolved(f);
-}
-
-sim::Task<>
-Kernel::deliverResilient(SegmentManager *mgr, Fault f)
-{
-    sim::Duration backoff = resilience_.retryBackoff;
-    for (int attempt = 0;; ++attempt) {
-        if (co_await attemptWithDeadline(mgr, f))
-            co_return;
-        if (attempt >= resilience_.maxRedeliveries)
-            break;
-        ++stats_.faultRedeliveries;
-        co_await sim_->delay(backoff);
-        backoff *= 2;
-    }
-
-    if (!resilience_.failover || !defaultMgr_ || defaultMgr_ == mgr) {
-        throw KernelError(KernelErrc::ManagerUnresponsive,
-                          "manager '" + mgr->name() +
-                              "' failed to resolve fault on segment " +
-                              std::to_string(f.segment) + " page " +
-                              std::to_string(f.page));
-    }
-
-    // Failover (§2.3): the kernel takes the segment away from the
-    // unresponsive manager, reclaims the manager's clean frames, and
-    // hands the segment to the default manager for this fault and all
-    // future ones.
-    ++stats_.failovers;
-    mgr->noteFailover();
-    if (resilience_.reclaimOnFailover)
-        stats_.framesReclaimed += reclaimUnresponsive(mgr);
-    setSegmentManagerNow(f.segment, defaultMgr_);
-    defaultMgr_->noteCall();
-    ++stats_.managerCalls;
-    // The default manager is the trusted base — there is nobody left
-    // to fail over to, so its attempt runs without a deadline (a slow
-    // disk must not turn an honest fill into "unresponsive").
-    auto done = std::make_shared<sim::Promise<int>>(*sim_);
-    sim_->spawn(runHandlerAttempt(defaultMgr_, f, done));
-    co_await done->future();
-    if (faultResolved(f))
-        co_return;
-    throw KernelError(KernelErrc::ManagerUnresponsive,
-                      "default manager '" + defaultMgr_->name() +
-                          "' failed to resolve fault type " +
-                          std::to_string(static_cast<int>(f.type)) +
-                          " on segment " + std::to_string(f.segment) +
-                          " page " + std::to_string(f.page));
+    std::erase_if(faults,
+                  [this](const Fault &f) { return faultResolved(f); });
 }
 
 std::uint64_t
@@ -1192,7 +1195,8 @@ Kernel::notifyClosed(SegmentManager *mgr, SegmentId seg)
 {
     mgr->noteCall();
     ++stats_.managerCalls;
-    co_await crossToManager(mgr, 0, mgr->segmentClosed(*this, seg));
+    co_await crossToManager(
+        mgr, 0, [&] { return mgr->segmentClosed(*this, seg); });
 }
 
 sim::Task<>

@@ -54,11 +54,11 @@ struct FrameOwner
  * Kernel defenses against misbehaving segment managers (§2-§3: the
  * kernel retains ultimate authority). Disabled by default, in which
  * case fault delivery is the plain invoke-and-wait path with an
- * identical event sequence. When enabled, each handler invocation
- * races a deadline; an expired, crashed or lying attempt is
- * redelivered with doubling backoff, and after maxRedeliveries the
- * kernel unilaterally reclaims the manager's clean frames and fails
- * the segment over to the default manager.
+ * identical event sequence. When enabled, each delivery attempt of a
+ * batch races a deadline; the faults an expired, crashed or lying
+ * attempt left unresolved are redelivered with doubling backoff, and
+ * after maxRedeliveries the kernel unilaterally reclaims the manager's
+ * clean frames and fails their segments over to the default manager.
  */
 struct ResiliencePolicy
 {
@@ -277,17 +277,18 @@ class Kernel
 
         // Batched fault delivery (active only when the machine opts
         // in with MachineConfig::faultCoalescing).
-        std::uint64_t faultBatches = 0;   ///< coalesced dispatches
+        std::uint64_t faultBatches = 0;   ///< queue-formed batches
         std::uint64_t faultsCoalesced = 0; ///< faults carried by them
 
         // Shared-kernel per-CPU fault path.
         std::uint64_t cpuTouchesQueued = 0; ///< touches parked on CPU queues
         std::uint64_t cpuDrains = 0;        ///< CPU-queue drain passes
 
-        // Resilience / failure-path counters.
+        // Resilience / failure-path counters. Redeliveries count
+        // faults; timeouts, crashes, stalls and lies count attempts.
         std::uint64_t faultTimeouts = 0;   ///< deadline expiries
         std::uint64_t faultRedeliveries = 0;
-        std::uint64_t failovers = 0;       ///< segments reassigned
+        std::uint64_t failovers = 0;       ///< batches failed over
         std::uint64_t managerCrashes = 0;  ///< handler exceptions contained
         std::uint64_t injectedStalls = 0;
         std::uint64_t injectedLies = 0;
@@ -411,14 +412,34 @@ class Kernel
     sim::Task<> deliverFault(Fault f);
 
     /**
+     * The faults one crossing carries. Pooled storage: a one-fault
+     * batch, and each resilient attempt's copy of it, costs no heap
+     * allocation.
+     */
+    using FaultBatch = std::vector<Fault, sim::detail::PoolAlloc<Fault>>;
+
+    /**
      * Coalescing fault queue (MachineConfig::faultCoalescing): faults
-     * against one manager enqueue here and share one dispatch
-     * crossing per drain. Resilient delivery and injection stay on
-     * the per-fault path so deadline/redelivery semantics (and the
-     * manager-crash failover sweep) are unchanged.
+     * against one manager park here, and the drain hands each batch
+     * to deliverBatch with faultDispatch as its entry charge. A
+     * manager has one batch in flight, redeliveries included; faults
+     * raised meanwhile form the next batch.
      */
     sim::Task<> enqueueCoalesced(SegmentManager *mgr, const Fault &f);
     sim::Task<> drainFaultQueue(SegmentManager *mgr);
+
+    /**
+     * Deliver one batch to @p mgr: the only fault-delivery routine.
+     * Counts one manager call and charges @p pre with the first
+     * attempt's entry. Without a ResiliencePolicy the single attempt
+     * runs inline and a handler error propagates. With one, each
+     * attempt is raced against the deadline, only the faults still
+     * unresolved are redelivered, and failover reclaims the manager's
+     * clean frames once and reassigns every unresolved fault's
+     * segment to the default manager.
+     */
+    sim::Task<> deliverBatch(SegmentManager *mgr, FaultBatch faults,
+                             sim::Duration pre);
 
     sim::Task<> notifyClosed(SegmentManager *mgr, SegmentId seg);
     sim::SimMutex &managerLock(SegmentManager *mgr);
@@ -429,40 +450,48 @@ class Kernel
      * upcall and left by a resume; a separate-process manager by an
      * IPC send and context switch, then serialised on its lock, and
      * left by the reply, a context switch and the trap exit. @p pre is
-     * charged together with the entry. A throwing @p body releases the
-     * lock and the exception propagates.
+     * charged together with the entry. Once inside, after any lock,
+     * @p body() returns the task to run there, or an empty task for
+     * none. A throwing body releases the lock and the exception
+     * propagates.
      */
+    template <typename Body>
     sim::Task<> crossToManager(SegmentManager *mgr, sim::Duration pre,
-                               sim::Task<> body);
+                               Body body);
 
     /**
-     * Invoke the handler, applying manager-layer fault injection
-     * (stall / crash / lie) unless @p mgr is the trusted default
-     * manager. With no engine attached this is a plain handleFault.
+     * The body of a fault crossing, built once the manager is entered.
+     * It drops the faults of @p faults that are already resolved and
+     * returns an empty task when none is left. Otherwise it returns
+     * the manager's handler (handleFaults for queue-formed batches,
+     * handleFault for an inline fault) directly, so no wrapper frame
+     * sits between the kernel and the manager, unless an injection
+     * engine targets @p mgr.
      */
-    sim::Task<> invokeHandler(SegmentManager *mgr, const Fault &f);
+    sim::Task<> invokeHandler(SegmentManager *mgr, FaultBatch &faults);
 
-    /** Injection-active slow path of invokeHandler. */
+    /**
+     * Injection-active slow path of invokeHandler: one manager-layer
+     * action (stall / crash / lie) drawn for the whole crossing.
+     */
     sim::Task<> invokeHandlerInjected(SegmentManager *mgr,
-                                      const Fault &f);
+                                      FaultBatch &faults);
 
-    /** Resilient delivery: deadline, redelivery, failover. */
-    sim::Task<> deliverResilient(SegmentManager *mgr, Fault f);
+    /** The handler call for @p faults (see invokeHandler). */
+    sim::Task<> handlerFor(SegmentManager *mgr, const FaultBatch &faults);
 
     /**
-     * One handler attempt raced against the fault deadline. Returns
-     * whether the fault is resolved afterwards; a late or crashing
-     * handler is contained (its outcome is recorded, never rethrown).
+     * One resilient attempt, spawned as a detached root so that it can
+     * race a deadline. It owns its copy of the batch and reports
+     * through @p done; a crashing handler is contained (counted, never
+     * rethrown).
      */
-    sim::Task<bool> attemptWithDeadline(SegmentManager *mgr,
-                                        const Fault &f);
-
-    /** The spawned half of attemptWithDeadline (detached root). */
     sim::Task<> runHandlerAttempt(
-        SegmentManager *mgr, Fault f,
-        std::shared_ptr<sim::Promise<int>> done);
+        SegmentManager *mgr, FaultBatch faults, sim::Duration pre,
+        std::shared_ptr<sim::Promise<bool>> done);
 
     bool faultResolved(const Fault &f);
+    void dropResolved(FaultBatch &faults);
 
     /**
      * Unilaterally reclaim the clean, unpinned frames of every segment

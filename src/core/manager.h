@@ -52,9 +52,13 @@ class SegmentManager
 
     /**
      * Resolve a batch of faults delivered in one kernel crossing
-     * (MachineConfig::faultCoalescing). The communication cost has
-     * already been charged once for the whole batch; implementations
-     * only pay their per-fault work. Default: sequential handleFault.
+     * (MachineConfig::faultCoalescing), even a batch of one. The
+     * kernel has charged the communication cost once for the whole
+     * batch and has dropped the faults already resolved when the
+     * crossing began; implementations only pay their per-fault work.
+     * Under a ResiliencePolicy, a batch that crashes, stalls past its
+     * deadline or lies is redelivered with only its unresolved faults.
+     * Default: sequential handleFault.
      */
     virtual sim::Task<>
     handleFaults(Kernel &k, std::span<const Fault> fs)
@@ -88,7 +92,7 @@ class SegmentManager
     std::uint64_t crashes() const { return crashes_; }
 
     void noteCall() { ++calls_; }
-    void noteFaultHandled() { ++faultsHandled_; }
+    void noteFaultsHandled(std::uint64_t n) { faultsHandled_ += n; }
     void noteTimeout() { ++timeouts_; }
     void noteFailover() { ++failovers_; }
     void noteCrash() { ++crashes_; }

@@ -105,11 +105,14 @@ struct MachineConfig
     ManagerMode defaultMgrMode;   ///< how the default manager runs
 
     /**
-     * Opt-in batched fault delivery: faults raised at the same
-     * simulated instant against one manager share a single dispatch
-     * crossing (one upcall or IPC round trip for the whole batch).
-     * Off by default so the per-fault charge timeline — and every
-     * committed determinism golden — is exactly the classic one.
+     * How fault batches form, and nothing else. On: faults park on
+     * their manager's queue, and those raised at the same simulated
+     * instant share one crossing (one faultDispatch plus one upcall or
+     * IPC round trip per batch). Off (the default): each fault is
+     * delivered inline as a batch of one, so the per-fault charge
+     * timeline and every committed determinism golden are the classic
+     * ones. Either way delivery composes with a ResiliencePolicy and
+     * fault injection.
      */
     bool faultCoalescing = false;
 

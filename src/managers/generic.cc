@@ -189,8 +189,25 @@ GenericSegmentManager::handleFault(Kernel &k, const Fault &f)
         (flag::kDirty | flag::kReferenced | flag::kPinned |
          flag::kDiscardable) &
         ~set;
-    co_await migrate(k, freeSeg_, f.segment, run[0], f.page, n, set,
-                     clear);
+    // Nothing serialises a same-process manager's handlers: one for
+    // the same page of a racing process may have installed it while
+    // this one waited. The fault is then resolved and the run goes
+    // back to the free pool.
+    bool lost_race = false;
+    try {
+        co_await migrate(k, freeSeg_, f.segment, run[0], f.page, n, set,
+                         clear);
+    } catch (const kernel::KernelError &e) {
+        if (e.code() != kernel::KernelErrc::PageBusy ||
+            !k.segment(f.segment).findPage(f.page))
+            throw;
+        lost_race = true;
+    }
+    if (lost_race) {
+        for (PageIndex s : run)
+            freeSlots_.insert(s);
+        co_return;
+    }
     for (PageIndex s : run)
         emptySlots_.insert(s);
     pagesAllocated_ += n;

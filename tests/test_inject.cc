@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/stack.h"
@@ -220,8 +224,8 @@ TEST(DiskInjection, PagingRetryRecoversFromTransientError)
 
 struct ResilienceRig
 {
-    ResilienceRig()
-        : kern(s, smallMachine()), spcm(kern, std::nullopt),
+    explicit ResilienceRig(bool coalesce = false)
+        : kern(s, machine(coalesce)), spcm(kern, std::nullopt),
           flaky(kern, "flaky", hw::ManagerMode::SameProcess, &spcm, 1),
           fallback(kern, "fallback", hw::ManagerMode::SameProcess,
                    &spcm, kernel::kSystemUser),
@@ -230,6 +234,14 @@ struct ResilienceRig
         flaky.initNow(128, 64);
         fallback.initNow(128, 64);
         seg = kern.createSegmentNow("app", 4096, 64, 1, &flaky);
+    }
+
+    static hw::MachineConfig
+    machine(bool coalesce)
+    {
+        hw::MachineConfig m = smallMachine();
+        m.faultCoalescing = coalesce;
+        return m;
     }
 
     kernel::ResiliencePolicy
@@ -375,6 +387,289 @@ TEST(Resilience, LyingManagerFailsOverAfterRedelivery)
 }
 
 // ----------------------------------------------------------------------
+// Batched delivery under resilience and injection
+// ----------------------------------------------------------------------
+
+/**
+ * Resolves the first two faults of its first batch and then crashes;
+ * later batches are handled in full. Records every batch's size.
+ */
+class HalfwayCrashManager : public mgr::GenericSegmentManager
+{
+  public:
+    using GenericSegmentManager::GenericSegmentManager;
+
+    sim::Task<>
+    handleFaults(kernel::Kernel &k,
+                 std::span<const kernel::Fault> fs) override
+    {
+        sizes.push_back(fs.size());
+        if (sizes.size() == 1) {
+            co_await handleFault(k, fs[0]);
+            co_await handleFault(k, fs[1]);
+            throw std::runtime_error("crashed mid-batch");
+        }
+        co_await GenericSegmentManager::handleFaults(k, fs);
+    }
+
+    std::vector<std::size_t> sizes;
+};
+
+TEST(Resilience, PartlyResolvedBatchRedeliversOnlyTheRest)
+{
+    sim::Simulation s;
+    kernel::Kernel kern(s, ResilienceRig::machine(true));
+    mgr::SystemPageCacheManager spcm(kern, std::nullopt);
+    HalfwayCrashManager crasher(kern, "crasher",
+                                hw::ManagerMode::SameProcess, &spcm, 1);
+    crasher.initNow(128, 64);
+    kernel::SegmentId seg =
+        kern.createSegmentNow("app", 4096, 64, 1, &crasher);
+    kern.setResiliencePolicy(kernel::ResiliencePolicy{.enabled = true});
+    kernel::Process proc("p", 1);
+
+    std::vector<sim::Task<>> touches;
+    for (kernel::PageIndex p = 0; p < 5; ++p)
+        touches.push_back(kern.touchSegment(proc, seg, p,
+                                            kernel::AccessType::Write));
+    runTask(s, sim::joinAll(s, std::move(touches)));
+
+    const auto &st = kern.stats();
+    EXPECT_EQ(st.faultBatches, 1u);
+    EXPECT_EQ(st.managerCrashes, 1u);
+    EXPECT_EQ(st.faultRedeliveries, 3u);
+    EXPECT_EQ(crasher.sizes, (std::vector<std::size_t>{5, 3}));
+    EXPECT_EQ(crasher.pagesAllocated(), 5u);
+    std::string why;
+    EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
+}
+
+TEST(Resilience, BatchFailoverReassignsEverySegmentOnce)
+{
+    ResilienceRig r(true);
+    kernel::SegmentId other =
+        r.kern.createSegmentNow("other", 4096, 64, 1, &r.flaky);
+    r.kern.setDefaultManager(&r.fallback);
+    r.kern.setResiliencePolicy(r.policy(1, msec(50), true));
+
+    // Clean, reclaimable state on both segments.
+    for (kernel::PageIndex p = 0; p < 2; ++p) {
+        runTask(r.s, r.kern.touchSegment(r.proc, r.seg, p,
+                                         kernel::AccessType::Read));
+        runTask(r.s, r.kern.touchSegment(r.proc, other, p,
+                                         kernel::AccessType::Read));
+    }
+
+    Config c;
+    c.enabled = true;
+    c.seed = 3;
+    c.manager.crashProb = 1.0;
+    Engine eng(c);
+    r.kern.setInjector(&eng);
+
+    std::vector<sim::Task<>> touches;
+    touches.push_back(r.kern.touchSegment(r.proc, r.seg, 10,
+                                          kernel::AccessType::Read));
+    touches.push_back(r.kern.touchSegment(r.proc, other, 10,
+                                          kernel::AccessType::Read));
+    runTask(r.s, sim::joinAll(r.s, std::move(touches)));
+
+    const auto &st = r.kern.stats();
+    EXPECT_EQ(st.faultBatches, 5u); // 4 warm-up faults + the pair
+    EXPECT_EQ(st.managerCrashes, 2u); // initial attempt + 1 retry
+    EXPECT_EQ(st.faultRedeliveries, 2u);
+    EXPECT_EQ(st.failovers, 1u);
+    EXPECT_EQ(r.flaky.failovers(), 1u);
+    // One sweep took the four clean pages of both segments.
+    EXPECT_EQ(st.framesReclaimed, 4u);
+    for (kernel::SegmentId id : {r.seg, other}) {
+        EXPECT_EQ(r.kern.segment(id).manager(), &r.fallback);
+        EXPECT_TRUE(r.kern.segment(id).findPage(10) != nullptr);
+    }
+    std::string why;
+    EXPECT_TRUE(r.kern.checkFrameInvariant(&why)) << why;
+}
+
+/** Three same-instant faults on distinct pages: one batch. */
+sim::Task<>
+touchThreePages(ResilienceRig &r)
+{
+    std::vector<sim::Task<>> touches;
+    for (kernel::PageIndex p = 0; p < 3; ++p)
+        touches.push_back(r.kern.touchSegment(r.proc, r.seg, p,
+                                              kernel::AccessType::Write));
+    co_await sim::joinAll(r.s, std::move(touches));
+}
+
+TEST(Resilience, BatchedLiesCountAttemptsAndRedeliveriesCountFaults)
+{
+    ResilienceRig r(true);
+    r.kern.setDefaultManager(&r.fallback);
+    r.kern.setResiliencePolicy(r.policy(2, msec(50), true));
+
+    Config c;
+    c.enabled = true;
+    c.seed = 17;
+    c.manager.lieProb = 1.0;
+    Engine eng(c);
+    r.kern.setInjector(&eng);
+
+    runTask(r.s, touchThreePages(r));
+    const auto &st = r.kern.stats();
+    EXPECT_EQ(st.faultBatches, 1u);
+    EXPECT_EQ(st.injectedLies, 3u); // initial attempt + 2 retries
+    EXPECT_EQ(st.faultRedeliveries, 6u); // 2 retries x 3 faults
+    EXPECT_EQ(st.failovers, 1u);
+    for (kernel::PageIndex p = 0; p < 3; ++p)
+        EXPECT_TRUE(r.kern.segment(r.seg).findPage(p) != nullptr);
+}
+
+TEST(Resilience, BatchedStallsCountAttempts)
+{
+    ResilienceRig r(true);
+    r.kern.setResiliencePolicy(r.policy(2, msec(50), false));
+
+    Config c;
+    c.enabled = true;
+    c.seed = 11;
+    c.manager.stallProb = 1.0;
+    c.manager.stallTime = msec(500);
+    Engine eng(c);
+    r.kern.setInjector(&eng);
+
+    try {
+        runTask(r.s, touchThreePages(r));
+        FAIL() << "expected ManagerUnresponsive";
+    } catch (const kernel::KernelError &e) {
+        EXPECT_EQ(e.code(), kernel::KernelErrc::ManagerUnresponsive);
+    }
+    const auto &st = r.kern.stats();
+    EXPECT_EQ(st.injectedStalls, 3u);
+    EXPECT_EQ(st.faultTimeouts, 3u);
+    EXPECT_EQ(st.faultRedeliveries, 6u);
+    // The stalled attempts wake, and each page is installed once.
+    r.s.run();
+    EXPECT_EQ(r.flaky.pagesAllocated(), 3u);
+    std::string why;
+    EXPECT_TRUE(r.kern.checkFrameInvariant(&why)) << why;
+}
+
+/** What one seeded composed run leaves behind (compared across reruns). */
+struct ComposedOutcome
+{
+    sim::SimTime end = 0;
+    int touches = 0;
+    bool invariantOk = false;
+    std::uint64_t faults = 0, batches = 0, managerCalls = 0,
+                  timeouts = 0, redeliveries = 0, failovers = 0,
+                  crashes = 0, stalls = 0, lies = 0, reclaimed = 0;
+
+    bool operator==(const ComposedOutcome &) const = default;
+};
+
+sim::Task<>
+composedProcess(kernel::Kernel &k, kernel::Process &proc,
+                const std::vector<kernel::SegmentId> &segs,
+                std::uint64_t seed, int *touches)
+{
+    sim::Random rng(seed);
+    for (int i = 0; i < 24; ++i) {
+        // Staggered think time, so batches vary in size.
+        co_await k.simulation().delay(usec(rng.below(4) * 100));
+        kernel::SegmentId seg = segs[rng.below(segs.size())];
+        kernel::PageIndex page =
+            static_cast<kernel::PageIndex>(rng.below(48));
+        kernel::AccessType a = rng.chance(0.5)
+                                   ? kernel::AccessType::Write
+                                   : kernel::AccessType::Read;
+        co_await k.touchSegment(proc, seg, page, a);
+        ++*touches;
+    }
+}
+
+/**
+ * 8 processes on 3 segments, with coalescing, resilience and a 10 %
+ * chance each of a stall, crash or lie per crossing to the segments'
+ * manager.
+ */
+ComposedOutcome
+composedRun(hw::ManagerMode mode, std::uint64_t seed)
+{
+    ResilienceRig r(true);
+    mgr::GenericSegmentManager flaky(r.kern, "flaky3", mode, &r.spcm, 1);
+    flaky.initNow(256, 64);
+    std::vector<kernel::SegmentId> segs;
+    for (int i = 0; i < 3; ++i)
+        segs.push_back(r.kern.createSegmentNow(
+            "s" + std::to_string(i), 4096, 48, 1, &flaky));
+    r.kern.setDefaultManager(&r.fallback);
+    r.kern.setResiliencePolicy(r.policy(2, msec(50), true));
+
+    Config c;
+    c.enabled = true;
+    c.seed = seed;
+    c.manager.stallProb = 0.10;
+    c.manager.crashProb = 0.10;
+    c.manager.lieProb = 0.10;
+    c.manager.stallTime = msec(80);
+    Engine eng(c);
+    r.kern.setInjector(&eng);
+
+    ComposedOutcome o;
+    std::vector<std::unique_ptr<kernel::Process>> procs;
+    std::vector<sim::Task<>> runs;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        procs.push_back(std::make_unique<kernel::Process>(
+            "p" + std::to_string(i), 1));
+        runs.push_back(composedProcess(r.kern, *procs.back(), segs,
+                                       seed * 16 + i, &o.touches));
+    }
+    // runTask drains the queue, so stalled attempts and deadline
+    // callbacks have played out by now.
+    runTask(r.s, sim::joinAll(r.s, std::move(runs)));
+    o.end = r.s.now();
+    o.invariantOk = r.kern.checkFrameInvariant();
+    const auto &st = r.kern.stats();
+    o.faults = st.faults;
+    o.batches = st.faultBatches;
+    o.managerCalls = st.managerCalls;
+    o.timeouts = st.faultTimeouts;
+    o.redeliveries = st.faultRedeliveries;
+    o.failovers = st.failovers;
+    o.crashes = st.managerCrashes;
+    o.stalls = st.injectedStalls;
+    o.lies = st.injectedLies;
+    o.reclaimed = st.framesReclaimed;
+    return o;
+}
+
+/** Seeds 1-5: every touch completes, and a rerun matches exactly. */
+void
+expectComposedRunsCompleteAndRepeat(hw::ManagerMode mode)
+{
+    std::uint64_t injected = 0;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const ComposedOutcome o = composedRun(mode, seed);
+        EXPECT_EQ(o.touches, 8 * 24) << "seed " << seed;
+        EXPECT_TRUE(o.invariantOk) << "seed " << seed;
+        EXPECT_GT(o.batches, 0u) << "seed " << seed;
+        EXPECT_EQ(composedRun(mode, seed), o) << "seed " << seed;
+        injected += o.timeouts + o.crashes + o.lies;
+    }
+    EXPECT_GT(injected, 0u);
+}
+
+TEST(ComposedChaos, SameProcessRunsCompleteAndRepeat)
+{
+    expectComposedRunsCompleteAndRepeat(hw::ManagerMode::SameProcess);
+}
+
+TEST(ComposedChaos, SeparateProcessRunsCompleteAndRepeat)
+{
+    expectComposedRunsCompleteAndRepeat(hw::ManagerMode::SeparateProcess);
+}
+
+// ----------------------------------------------------------------------
 // Memory-pressure layer
 // ----------------------------------------------------------------------
 
@@ -458,6 +753,41 @@ TEST(GoldenIdentity, DisabledEngineMatchesAbsentEngine)
         runTask(st.sim, goldenWorkload(st, seg));
         return std::tuple(st.sim.now(), st.kern.stats().faults,
                           st.disk.reads(), st.disk.busyTime());
+    };
+
+    EXPECT_EQ(run(false), run(true));
+}
+
+TEST(GoldenIdentity, DisabledEngineMatchesAbsentEngineCoalesced)
+{
+    // The same identity with batched delivery: a disabled engine draws
+    // nothing per crossing either.
+    auto run = [](bool attach_disabled_engine) {
+        hw::MachineConfig m = smallMachine();
+        m.faultCoalescing = true;
+        apps::VppStack st(m);
+        st.kern.setResiliencePolicy(kernel::ResiliencePolicy{
+            .enabled = true});
+
+        Config c;
+        c.enabled = false;
+        c.disk.readErrorProb = 1.0;
+        c.manager.stallProb = 1.0;
+        c.pressure.stormProb = 1.0;
+        c.pressure.stormFrames = 64;
+        Engine eng(c);
+        if (attach_disabled_engine) {
+            st.disk.setInjector(&eng);
+            st.kern.setInjector(&eng);
+            st.spcm.setInjector(&eng);
+        }
+
+        uio::FileId f = st.server.createFile("g", 64 * 4096);
+        kernel::SegmentId seg = runTask(st.sim, st.ucds.openFile(f));
+        runTask(st.sim, goldenWorkload(st, seg));
+        return std::tuple(st.sim.now(), st.kern.stats().faults,
+                          st.kern.stats().faultBatches, st.disk.reads(),
+                          st.disk.busyTime());
     };
 
     EXPECT_EQ(run(false), run(true));
