@@ -6,7 +6,7 @@ using kernel::Fault;
 using kernel::Kernel;
 using kernel::PageIndex;
 
-sim::Task<std::vector<PageIndex>>
+sim::Task<mgr::SlotRun>
 ColoringManager::chooseSlots(Kernel &k, const Fault &f, std::uint64_t n)
 {
     // Coloring allocates one page at a time; fall back to the default
@@ -22,7 +22,7 @@ ColoringManager::chooseSlots(Kernel &k, const Fault &f, std::uint64_t n)
             if (colorOfSlot(k, slot) == want) {
                 takeSlot(slot);
                 ++colorHits_;
-                co_return std::vector<PageIndex>{slot};
+                co_return mgr::SlotRun{slot};
             }
         }
         // No frame of the right color in the pool: ask the SPCM for a

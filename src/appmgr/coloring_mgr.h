@@ -39,7 +39,7 @@ class ColoringManager : public mgr::GenericSegmentManager
     std::uint64_t colorMisses() const { return colorMisses_; }
 
   protected:
-    sim::Task<std::vector<kernel::PageIndex>>
+    sim::Task<mgr::SlotRun>
     chooseSlots(kernel::Kernel &k, const kernel::Fault &f,
                 std::uint64_t n) override;
 

@@ -6,7 +6,7 @@ using kernel::Fault;
 using kernel::Kernel;
 using kernel::PageIndex;
 
-sim::Task<std::vector<PageIndex>>
+sim::Task<mgr::SlotRun>
 PlacementManager::chooseSlots(Kernel &k, const Fault &f,
                               std::uint64_t n)
 {
@@ -25,7 +25,7 @@ PlacementManager::chooseSlots(Kernel &k, const Fault &f,
             if (topo_.nodeOf(a) == node) {
                 takeSlot(slot);
                 ++placed_;
-                co_return std::vector<PageIndex>{slot};
+                co_return mgr::SlotRun{slot};
             }
         }
         if (attempt == 0) {

@@ -59,7 +59,7 @@ class PlacementManager : public mgr::GenericSegmentManager
     std::uint64_t placementMisses() const { return misses_; }
 
   protected:
-    sim::Task<std::vector<kernel::PageIndex>>
+    sim::Task<mgr::SlotRun>
     chooseSlots(kernel::Kernel &k, const kernel::Fault &f,
                 std::uint64_t n) override;
 

@@ -70,13 +70,13 @@ GenericSegmentManager::initNow(std::uint64_t capacity,
     }
 }
 
-std::vector<PageIndex>
+SlotRun
 GenericSegmentManager::takeFreeRun(std::uint64_t n)
 {
     return freeSlots_.takeRun(n);
 }
 
-std::vector<PageIndex>
+SlotRun
 GenericSegmentManager::takeEmptyRun(std::uint64_t n)
 {
     return emptySlots_.takeRun(n);

@@ -221,7 +221,7 @@ class GenericSegmentManager : public kernel::SegmentManager
      * this. The returned slots must come from the free pool (via
      * takeFreeRun or equivalent) and be contiguous.
      */
-    virtual sim::Task<std::vector<kernel::PageIndex>>
+    virtual sim::Task<SlotRun>
     chooseSlots(kernel::Kernel &k, const kernel::Fault &f,
                 std::uint64_t n)
     {
@@ -248,13 +248,13 @@ class GenericSegmentManager : public kernel::SegmentManager
      * such run exists, return the longest available prefix (possibly
      * a single slot).
      */
-    std::vector<kernel::PageIndex> takeFreeRun(std::uint64_t n);
+    SlotRun takeFreeRun(std::uint64_t n);
 
     /** Pop @p n empty slots to receive incoming frames. */
     std::vector<kernel::PageIndex> takeEmptySlots(std::uint64_t n);
 
     /** Pop a contiguous run of up to @p n empty slots. */
-    std::vector<kernel::PageIndex> takeEmptyRun(std::uint64_t n);
+    SlotRun takeEmptyRun(std::uint64_t n);
 
     void
     slotFilled(kernel::PageIndex slot)

@@ -436,17 +436,11 @@ SystemPageCacheManager::roundRequest(bool is_bid, ClientId c,
                                      std::vector<kernel::PageIndex> slots,
                                      Constraint constraint)
 {
-    RoundEntry e;
-    e.msg.isBid = is_bid;
-    e.msg.client = c;
-    e.msg.seg = seg;
-    e.msg.slots = std::move(slots);
-    e.msg.constraint = constraint;
-    e.want = e.msg.slots.size();
-    e.issued = kern_->simulation().now();
-    e.done = std::make_shared<sim::Promise<std::uint64_t>>(
-        kern_->simulation());
-    sim::Future<std::uint64_t> fut = e.done->future();
+    const std::uint64_t want = slots.size();
+    RoundEntry e{MarketMsg{is_bid, c, seg, std::move(slots), constraint},
+                 want, kern_->simulation().now(),
+                 sim::Promise<std::uint64_t>(kern_->simulation())};
+    sim::Future<std::uint64_t> fut = e.done.future();
     pendingRound_.push_back(std::move(e));
     if (!roundDraining_) {
         roundDraining_ = true;
@@ -505,7 +499,7 @@ SystemPageCacheManager::drainRounds()
         }
         if (err) {
             for (RoundEntry &e : round)
-                e.done->setError(err);
+                e.done.setError(err);
             continue;
         }
 
@@ -526,7 +520,7 @@ SystemPageCacheManager::drainRounds()
             }
             if (starved)
                 ++bidsRejected_;
-            e.done->setValue(got);
+            e.done.setValue(got);
         }
     }
     roundDraining_ = false;

@@ -313,7 +313,7 @@ class SystemPageCacheManager
         MarketMsg msg;
         std::uint64_t want = 0;
         sim::SimTime issued = 0;
-        std::shared_ptr<sim::Promise<std::uint64_t>> done;
+        sim::Promise<std::uint64_t> done;
     };
 
     bool contended() const;

@@ -9,7 +9,10 @@
  *    drains victims after each segment. The hand moves forward only
  *    and never wraps, so referenced pages survive the pass — exactly
  *    the legacy DefaultSegmentManager::clockPass semantics, which is
- *    what keeps the committed baselines byte-identical.
+ *    what keeps the committed baselines byte-identical. Inserts must
+ *    arrive in ascending PageId order (an out-of-order one throws),
+ *    so the ring is sorted and pages are found by binary search:
+ *    a pass builds no hash map.
  *
  *  - Second-chance mode (clockSecondChance = true, cache
  *    simulations): a classic circular clock over a fixed slot array;
@@ -20,6 +23,8 @@
 #ifndef VPP_POLICY_CLOCK_H
 #define VPP_POLICY_CLOCK_H
 
+#include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -43,8 +48,7 @@ class ClockPolicy final : public ReplacementPolicy
         ReplacementPolicy::beginPass(now);
         if (!secondChance_) {
             slots_.clear();
-            index_.clear();
-            free_.clear();
+            live_ = 0;
             hand_ = 0;
         }
     }
@@ -52,37 +56,49 @@ class ClockPolicy final : public ReplacementPolicy
     void
     insert(PageId p) override
     {
-        if (index_.count(p))
-            return;
-        ++stats_.inserts;
-        // Pass mode always appends: the hand only moves forward, so
-        // reusing a freed slot behind it would hide the page from the
-        // rest of the pass. beginPass() reclaims the tombstones.
-        if (secondChance_ && !free_.empty()) {
-            std::size_t s = free_.back();
-            free_.pop_back();
-            slots_[s] = Slot{p, false, true};
-            index_.emplace(p, s);
-        } else {
-            index_.emplace(p, slots_.size());
+        if (!secondChance_) {
+            // Pass mode always appends: the hand only moves forward,
+            // so reusing a freed slot behind it would hide the page
+            // from the rest of the pass. beginPass() reclaims the
+            // tombstones.
+            if (!slots_.empty() && p <= slots_.back().id) {
+                if (find(p) != kAbsent)
+                    return;
+                throw std::logic_error(
+                    "ClockPolicy: pass-mode insert out of PageId order");
+            }
             slots_.push_back(Slot{p, false, true});
+            ++live_;
+        } else {
+            if (index_.count(p))
+                return;
+            if (!free_.empty()) {
+                std::size_t s = free_.back();
+                free_.pop_back();
+                slots_[s] = Slot{p, false, true};
+                index_.emplace(p, s);
+            } else {
+                index_.emplace(p, slots_.size());
+                slots_.push_back(Slot{p, false, true});
+            }
         }
+        ++stats_.inserts;
     }
 
     void
     touch(PageId p) override
     {
-        auto it = index_.find(p);
-        if (it == index_.end())
+        const std::size_t s = find(p);
+        if (s == kAbsent)
             return;
         ++stats_.touches;
-        slots_[it->second].ref = true;
+        slots_[s].ref = true;
     }
 
     std::optional<PageId>
     victim() override
     {
-        if (index_.empty())
+        if (size() == 0)
             return std::nullopt;
         if (!secondChance_) {
             // Linear pass: skip referenced pages without clearing
@@ -115,17 +131,20 @@ class ClockPolicy final : public ReplacementPolicy
     void
     remove(PageId p) override
     {
-        auto it = index_.find(p);
-        if (it == index_.end())
+        const std::size_t s = find(p);
+        if (s == kAbsent)
             return;
         ++stats_.removes;
-        slots_[it->second].live = false;
-        free_.push_back(it->second);
-        index_.erase(it);
+        drop(s);
     }
 
-    bool contains(PageId p) const override { return index_.count(p); }
-    std::uint64_t size() const override { return index_.size(); }
+    bool contains(PageId p) const override { return find(p) != kAbsent; }
+
+    std::uint64_t
+    size() const override
+    {
+        return secondChance_ ? index_.size() : live_;
+    }
 
   private:
     struct Slot
@@ -135,21 +154,49 @@ class ClockPolicy final : public ReplacementPolicy
         bool live = false;
     };
 
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+
+    /** Index of the live slot holding @p p, or kAbsent. */
+    std::size_t
+    find(PageId p) const
+    {
+        if (secondChance_) {
+            auto it = index_.find(p);
+            return it == index_.end() ? kAbsent : it->second;
+        }
+        auto it = std::lower_bound(
+            slots_.begin(), slots_.end(), p,
+            [](const Slot &s, PageId id) { return s.id < id; });
+        if (it == slots_.end() || it->id != p || !it->live)
+            return kAbsent;
+        return static_cast<std::size_t>(it - slots_.begin());
+    }
+
+    void
+    drop(std::size_t s)
+    {
+        slots_[s].live = false;
+        if (secondChance_) {
+            free_.push_back(s);
+            index_.erase(slots_[s].id);
+        } else {
+            --live_;
+        }
+    }
+
     PageId
     evictAt(std::size_t s)
     {
-        PageId id = slots_[s].id;
-        slots_[s].live = false;
-        free_.push_back(s);
-        index_.erase(id);
+        drop(s);
         ++stats_.evictions;
-        return id;
+        return slots_[s].id;
     }
 
     bool secondChance_;
-    std::vector<Slot> slots_; ///< ring in insertion order
-    std::vector<std::size_t> free_;
-    std::unordered_map<PageId, std::size_t> index_;
+    std::vector<Slot> slots_; ///< ring; ascending PageId in pass mode
+    std::vector<std::size_t> free_;                 ///< second chance
+    std::unordered_map<PageId, std::size_t> index_; ///< second chance
+    std::uint64_t live_ = 0;                        ///< pass mode
     std::size_t hand_ = 0;
 };
 

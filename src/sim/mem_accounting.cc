@@ -30,6 +30,7 @@ namespace {
 // hooks are safe for allocations made during program startup.
 thread_local std::int64_t tCurrent = 0;
 thread_local std::int64_t tPeak = 0;
+thread_local std::uint64_t tAllocations = 0;
 
 } // namespace
 
@@ -45,6 +46,12 @@ std::int64_t
 threadCurrentBytes()
 {
     return tCurrent;
+}
+
+std::uint64_t
+threadAllocations()
+{
+    return tAllocations;
 }
 
 std::int64_t
@@ -77,6 +84,7 @@ namespace {
 void
 account(void *p) noexcept
 {
+    ++tAllocations;
     tCurrent += static_cast<std::int64_t>(malloc_usable_size(p));
     if (tCurrent > tPeak)
         tPeak = tCurrent;

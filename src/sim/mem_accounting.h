@@ -28,6 +28,9 @@ bool hooksActive();
 /** Bytes currently allocated (and not yet freed) by this thread. */
 std::int64_t threadCurrentBytes();
 
+/** Calls to the global operator new made by this thread so far. */
+std::uint64_t threadAllocations();
+
 /** High-water mark of threadCurrentBytes() since the last reset. */
 std::int64_t threadPeakBytes();
 

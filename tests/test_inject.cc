@@ -287,6 +287,27 @@ TEST(Resilience, StallWithinDeadlineResolves)
     EXPECT_GE(st.faultLatencyMax, msec(200));
 }
 
+TEST(Resilience, ResolvedFaultCancelsItsDeadline)
+{
+    // The attempt resolves long before its 120 ms deadline, which is
+    // then cancelled: the run ends when the fault completes, and no
+    // dead deadline event fires afterwards.
+    ResilienceRig r;
+    r.kern.setResiliencePolicy(r.policy(3, msec(120), false));
+    sim::SimTime resolved = -1;
+    r.s.spawn([](ResilienceRig &rig, sim::SimTime *at) -> sim::Task<> {
+        co_await rig.kern.touchSegment(rig.proc, rig.seg, 0,
+                                       kernel::AccessType::Write);
+        *at = rig.s.now();
+    }(r, &resolved));
+    const sim::SimTime end = r.s.run();
+    EXPECT_EQ(r.kern.stats().faults, 1u);
+    EXPECT_EQ(r.kern.stats().faultTimeouts, 0u);
+    EXPECT_GT(resolved, 0);
+    EXPECT_LT(resolved, msec(120));
+    EXPECT_EQ(end, resolved);
+}
+
 TEST(Resilience, UnresponsiveManagerWithoutFailoverThrows)
 {
     // Every attempt stalls past the deadline and redelivery is

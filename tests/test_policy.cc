@@ -108,6 +108,56 @@ TEST(PolicyClock, BeginPassEmptiesTheRing)
     EXPECT_EQ(p.stats().passes, 2u);
 }
 
+TEST(PolicyClock, PassModeInsertsInAscendingOrderOnly)
+{
+    // The pass-mode ring is sorted by construction (clockPass feeds
+    // pages in canonical order), which is what lets it find pages by
+    // binary search instead of a map.
+    policy::ClockPolicy p({});
+    p.beginPass(0);
+    p.insert(makePageId(1, 4));
+    p.insert(makePageId(2, 0));
+    EXPECT_THROW(p.insert(makePageId(1, 9)), std::logic_error);
+    // A duplicate is ignored, wherever it sits in the ring.
+    p.insert(makePageId(1, 4));
+    p.insert(makePageId(2, 0));
+    EXPECT_EQ(p.size(), 2u);
+    EXPECT_EQ(p.stats().inserts, 2u);
+    // A new pass starts the order afresh.
+    p.beginPass(1);
+    p.insert(makePageId(1, 0));
+    EXPECT_EQ(p.size(), 1u);
+}
+
+TEST(PolicyClock, PassModeIgnoresAbsentPages)
+{
+    policy::ClockPolicy p({});
+    p.beginPass(0);
+    p.insert(makePageId(1, 2));
+    p.insert(makePageId(1, 5));
+    // Absent: below, between and above the ring.
+    for (PageId absent :
+         {makePageId(1, 0), makePageId(1, 3), makePageId(1, 9)}) {
+        EXPECT_FALSE(p.contains(absent));
+        p.touch(absent);
+        p.remove(absent);
+    }
+    EXPECT_EQ(p.stats().touches, 0u);
+    EXPECT_EQ(p.stats().removes, 0u);
+    EXPECT_EQ(p.size(), 2u);
+    // An evicted or removed page is absent too.
+    p.remove(makePageId(1, 5));
+    EXPECT_FALSE(p.contains(makePageId(1, 5)));
+    p.remove(makePageId(1, 5));
+    EXPECT_EQ(p.stats().removes, 1u);
+    EXPECT_EQ(p.victim(), makePageId(1, 2));
+    EXPECT_FALSE(p.contains(makePageId(1, 2)));
+    p.touch(makePageId(1, 2));
+    EXPECT_EQ(p.stats().touches, 0u);
+    EXPECT_EQ(p.size(), 0u);
+    EXPECT_EQ(p.victim(), std::nullopt);
+}
+
 TEST(PolicyClock, SecondChanceClearsRefBitsAndAlwaysFindsAVictim)
 {
     PolicyParams pp;
