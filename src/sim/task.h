@@ -19,6 +19,7 @@
 #include <new>
 #include <optional>
 #include <utility>
+#include <vector>
 
 namespace vpp::sim {
 
@@ -192,6 +193,13 @@ class PromiseBase : public PooledFrame
 };
 
 } // namespace detail
+
+/**
+ * A std::vector in FramePool storage: a short-lived one allocates
+ * nothing from the global heap in steady state.
+ */
+template <typename T>
+using PoolVector = std::vector<T, detail::PoolAlloc<T>>;
 
 /**
  * A lazily-started coroutine returning T. Move-only; owns the coroutine

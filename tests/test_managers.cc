@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -554,6 +555,30 @@ TEST_F(ClockTest, UnreferencedPagesGetReclaimed)
     EXPECT_EQ(reclaimed, 15u);
     EXPECT_TRUE(kern.segment(heap).findPage(0));
     EXPECT_FALSE(kern.segment(heap).findPage(10));
+}
+
+TEST_F(ClockTest, OverlappingPassThrows)
+{
+    kernel::SegmentId heap =
+        runTask(s, ucds.createAnonymous("heap", 64, 1));
+    for (kernel::PageIndex p = 0; p < 20; ++p) {
+        runTask(s,
+                kern.touchSegment(proc, heap, p,
+                                  kernel::AccessType::Write));
+    }
+    // The first pass suspends while it rearms the referenced pages; a
+    // second one started meanwhile would restart the policy's pass.
+    std::uint64_t first = ~std::uint64_t{0};
+    s.spawn([](DefaultSegmentManager &m, std::uint64_t *out) -> sim::Task<> {
+        *out = co_await m.clockPass(100);
+    }(ucds, &first));
+    EXPECT_THROW(runTask(s, ucds.clockPass(100)), std::logic_error);
+    s.run();
+    EXPECT_EQ(first, 0u);
+    // A pass that ended lets the next one run: every page was rearmed
+    // and none touched since, so all 20 go.
+    EXPECT_EQ(runTask(s, ucds.clockPass(100)), 20u);
+    EXPECT_EQ(ucds.clockPasses(), 2u);
 }
 
 TEST_F(ClockTest, SamplingReenablesInBatches)
