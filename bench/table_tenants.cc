@@ -185,7 +185,6 @@ runRow(std::uint64_t tenants, bool market_mode, bool storm,
         opts.spcmParams.batchedRounds = true;
         opts.spcmParams.admissionMaxWaiters = 64;
         opts.spcmParams.admissionMaxWait = sim::msec(1);
-        opts.spcmParams.admissionRetry = sim::usec(500);
     } else {
         opts.spcmParams.clockScanPerFrame = kClockScanPerFrame;
     }

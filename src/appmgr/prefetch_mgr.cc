@@ -30,7 +30,6 @@ PrefetchingManager::preFault(Kernel &k, const Fault &f)
     // it instead of fetching twice.
     if (!inFlight_.count({f.segment, f.page}))
         co_return false;
-    ++prefetchHits_;
     while (inFlight_.count({f.segment, f.page}))
         co_await fetched_->wait();
     co_return k.segment(f.segment).findPage(f.page) != nullptr;

@@ -48,9 +48,6 @@ class PrefetchingManager : public mgr::GenericSegmentManager
     std::uint64_t demandFills() const { return demandFills_; }
     std::uint64_t prefetchedPages() const { return prefetched_; }
 
-    /** Faults that found their page already being prefetched. */
-    std::uint64_t prefetchHits() const { return prefetchHits_; }
-
   protected:
     sim::Task<bool> preFault(kernel::Kernel &k,
                              const kernel::Fault &f) override;
@@ -76,7 +73,6 @@ class PrefetchingManager : public mgr::GenericSegmentManager
     std::unique_ptr<sim::Condition> fetched_;
     std::uint64_t demandFills_ = 0;
     std::uint64_t prefetched_ = 0;
-    std::uint64_t prefetchHits_ = 0;
 };
 
 } // namespace vpp::appmgr

@@ -103,7 +103,6 @@ class Kernel
      * never targets it.
      */
     void setDefaultManager(SegmentManager *m) { defaultMgr_ = m; }
-    SegmentManager *defaultManager() const { return defaultMgr_; }
 
     /** Attach (or detach with nullptr) a fault-injection engine. */
     void setInjector(inject::Engine *e) { inject_ = e; }
@@ -399,12 +398,6 @@ class Kernel
     std::uint64_t cpuHits(unsigned cpu) const;
     std::uint64_t cpuMisses(unsigned cpu) const;
 
-    /** Current mutation epoch of a segment (tests). */
-    std::uint64_t segmentEpoch(SegmentId s) const
-    {
-        return s < segEpochs_.size() ? segEpochs_[s] : 0;
-    }
-
   private:
     static constexpr int kMaxFaultRetries = 8;
     static constexpr int kMaxBindingDepth = 8;
@@ -453,7 +446,8 @@ class Kernel
      * charged together with the entry. Once inside, after any lock,
      * @p body() returns the task to run there, or an empty task for
      * none. A throwing body releases the lock and the exception
-     * propagates.
+     * propagates. A plain function: it returns ipc::cross's task, so
+     * the crossing adds no coroutine frame of its own.
      */
     template <typename Body>
     sim::Task<> crossToManager(SegmentManager *mgr, sim::Duration pre,

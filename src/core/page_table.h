@@ -237,6 +237,16 @@ class PageTable
         return const_iterator(this, leaves_.size(), 0);
     }
 
+    /** First present page at or after @p p (map::lower_bound). */
+    const_iterator
+    lowerBound(PageIndex p) const
+    {
+        const std::size_t li = p >> kLeafBits;
+        if (li >= leaves_.size())
+            return end();
+        return const_iterator(this, li, p & kLeafMask);
+    }
+
   private:
     Leaf &
     leafFor(PageIndex p)

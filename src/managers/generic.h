@@ -68,7 +68,6 @@ class GenericSegmentManager : public kernel::SegmentManager
 
     kernel::SegmentId freeSegment() const { return freeSeg_; }
     std::uint64_t freePages() const { return freeSlots_.size(); }
-    std::uint64_t emptySlotCount() const { return emptySlots_.size(); }
 
     /** Ask the SPCM for @p n more frames. Returns frames received. */
     sim::Task<std::uint64_t> requestFrames(std::uint64_t n,

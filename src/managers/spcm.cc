@@ -1,12 +1,22 @@
 #include "managers/spcm.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace vpp::mgr {
 
 using kernel::flag::kReadable;
 using kernel::flag::kWritable;
 using kernel::flag::kZeroFill;
+
+namespace {
+
+/// Fraction of frames in the shared (protected) range.
+constexpr double kProtectedShare = 0.25;
+/// Retry cadence when only parked waiters remain (no fresh bids).
+constexpr sim::Duration kAdmissionRetry = sim::usec(500);
+
+} // namespace
 
 SystemPageCacheManager::SystemPageCacheManager(
     kernel::Kernel &k, std::optional<MarketParams> market,
@@ -16,19 +26,12 @@ SystemPageCacheManager::SystemPageCacheManager(
 {
     if (market)
         market_.emplace(k.simulation(), *market);
-    if (sp_.shards > 1) {
-        std::uint64_t total = k.memory().numFrames();
-        auto shared = static_cast<std::uint64_t>(
-            static_cast<double>(total) * sp_.protectedShare);
-        privateFrames_ = total > shared ? total - shared : 0;
-        framesPerShard_ = std::max<std::uint64_t>(
-            1, privateFrames_ / sp_.shards);
-        shardFree_.resize(sp_.shards + 1);
-    }
-    if (sp_.batchedRounds) {
-        roundPort_.emplace(k.simulation(), ipcCost_);
-        k.simulation().spawn(marketServer());
-    }
+    std::uint64_t total = k.memory().numFrames();
+    auto shared = static_cast<std::uint64_t>(
+        static_cast<double>(total) * kProtectedShare);
+    privateFrames_ = total - shared;
+    framesPerShard_ =
+        std::max<std::uint64_t>(1, privateFrames_ / sp_.shards);
 }
 
 ClientId
@@ -79,109 +82,67 @@ SystemPageCacheManager::frameMatches(hw::FrameId f,
     return true;
 }
 
-std::uint32_t
-SystemPageCacheManager::homeShard(hw::FrameId f) const
+std::pair<kernel::PageIndex, kernel::PageIndex>
+SystemPageCacheManager::shardRange(std::uint32_t s) const
 {
-    if (!sharded())
-        return 0;
-    if (f >= privateFrames_)
-        return sp_.shards; // shared (protected) pool
-    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        f / framesPerShard_, sp_.shards - 1));
-}
-
-void
-SystemPageCacheManager::syncShardLists()
-{
-    if (!sharded())
-        return;
-    // A grant in flight has frames popped from the lists but not yet
-    // migrated out of the physical segment; resync after it lands.
-    if (unlinked_ != 0)
-        return;
-    std::uint64_t listed = 0;
-    for (const SlotPool &p : shardFree_)
-        listed += p.size();
-    if (listed == freeFrames())
-        return;
-    // The kernel bypassed us (e.g. unilateral reclamation of a crashed
-    // manager returned its frames straight to the physical segment):
-    // rebuild the lists from the pool, each frame on its home shard.
-    for (SlotPool &p : shardFree_)
-        p = SlotPool{};
-    const auto &phys = kern_->segment(kernel::kPhysSegment);
-    for (const auto &[page, entry] : phys.pages())
-        shardFree_[homeShard(entry.frame)].insert(entry.frame);
-}
-
-void
-SystemPageCacheManager::noteFrameFreed(hw::FrameId f)
-{
-    if (sharded())
-        shardFree_[homeShard(f)].insert(f);
+    if (s == sp_.shards)
+        return {privateFrames_, kern_->memory().numFrames()};
+    const kernel::PageIndex lo =
+        std::min<std::uint64_t>(s * framesPerShard_, privateFrames_);
+    const kernel::PageIndex hi =
+        s + 1 == sp_.shards
+            ? privateFrames_
+            : std::min<std::uint64_t>(lo + framesPerShard_,
+                                      privateFrames_);
+    return {lo, hi};
 }
 
 std::uint64_t
-SystemPageCacheManager::shardFreeFrames(std::uint32_t s)
+SystemPageCacheManager::shardFreeFrames(std::uint32_t s) const
 {
-    if (!sharded())
-        return s == 0 ? freeFrames() : 0;
-    syncShardLists();
-    return shardFree_.at(s).size();
+    const auto [lo, hi] = shardRange(s);
+    const kernel::PageTable &phys =
+        kern_->segment(kernel::kPhysSegment).pages();
+    std::uint64_t n = 0;
+    for (auto it = phys.lowerBound(lo); it != phys.end() && (*it).first < hi;
+         ++it)
+        ++n;
+    return n;
 }
 
 std::vector<hw::FrameId>
 SystemPageCacheManager::pickFrames(ClientId c, std::uint64_t n,
-                                   const Constraint &con)
+                                   const Constraint &con) const
 {
-    if (sharded()) {
-        syncShardLists();
-        std::vector<hw::FrameId> out;
-        if (con.kind == Constraint::Kind::None) {
-            // O(1) per frame: drain the client's home shard, then the
-            // shared pool, then steal from sibling shards round-robin
-            // (a shard must never refuse while free frames exist
-            // elsewhere — allocation, not placement, is the contract).
-            out.reserve(n);
-            SlotPool &own = shardFree_[clientShard(c)];
-            SlotPool &shared = shardFree_[sp_.shards];
-            while (out.size() < n && !own.empty())
-                out.push_back(own.popLowest());
-            while (out.size() < n && !shared.empty())
-                out.push_back(shared.popLowest());
-            for (std::uint32_t k = 1;
-                 k < sp_.shards && out.size() < n; ++k) {
-                SlotPool &sib =
-                    shardFree_[(clientShard(c) + k) % sp_.shards];
-                while (out.size() < n && !sib.empty())
-                    out.push_back(sib.popLowest());
-            }
-        } else {
-            // Constrained picks (phys range, color) still scan; keep
-            // the lists in step.
-            out.reserve(n);
-            const auto &phys = kern_->segment(kernel::kPhysSegment);
-            for (const auto &[page, entry] : phys.pages()) {
-                if (out.size() >= n)
-                    break;
-                if (frameMatches(entry.frame, con))
-                    out.push_back(entry.frame);
-            }
-            for (hw::FrameId f : out)
-                shardFree_[homeShard(f)].erase(f);
+    const kernel::PageTable &phys =
+        kern_->segment(kernel::kPhysSegment).pages();
+    std::vector<hw::FrameId> out;
+    out.reserve(std::min<std::uint64_t>(n, phys.size()));
+    // The physical segment is the free list: take matching frames from
+    // one of its ranges in frame order.
+    auto take = [&](std::pair<kernel::PageIndex, kernel::PageIndex> r) {
+        for (auto it = phys.lowerBound(r.first);
+             it != phys.end() && out.size() < n; ++it) {
+            const auto &[page, entry] = *it;
+            if (page >= r.second)
+                break;
+            if (frameMatches(entry.frame, con))
+                out.push_back(entry.frame);
         }
-        unlinked_ += out.size();
+    };
+    if (con.kind != Constraint::Kind::None) {
+        // Placement constraints (phys range, color) scan every frame.
+        take({0, kern_->memory().numFrames()});
         return out;
     }
-    std::vector<hw::FrameId> out;
-    const auto &phys = kern_->segment(kernel::kPhysSegment);
-    out.reserve(std::min<std::uint64_t>(n, phys.pages().size()));
-    for (const auto &[page, entry] : phys.pages()) {
-        if (out.size() >= n)
-            break;
-        if (frameMatches(entry.frame, con))
-            out.push_back(entry.frame);
-    }
+    // The home range, then the shared range, then the siblings round
+    // robin: a range never refuses while frames are free elsewhere
+    // (allocation, not placement, is the contract).
+    const std::uint32_t home = clientShard(c);
+    take(shardRange(home));
+    take(shardRange(sp_.shards));
+    for (std::uint32_t k = 1; k < sp_.shards; ++k)
+        take(shardRange((home + k) % sp_.shards));
     return out;
 }
 
@@ -210,15 +171,12 @@ SystemPageCacheManager::noteBidOutcome(ClientId c, std::uint64_t want,
 }
 
 sim::Task<std::uint64_t>
-SystemPageCacheManager::doGrant(ClientId c, kernel::SegmentId dst_seg,
-                                const std::vector<kernel::PageIndex> &slots,
-                                const Constraint &constraint,
-                                bool *charge_base)
+SystemPageCacheManager::doGrant(const MarketMsg &m, bool &charge_base)
 {
-    Client &client = clients_.at(c);
-    std::uint64_t want = slots.size();
-    const std::uint32_t page_size =
-        kern_->segment(dst_seg).pageSize();
+    Client &client = clients_.at(m.client);
+    const std::uint64_t asked = m.slots.size();
+    std::uint64_t want = asked;
+    const std::uint32_t page_size = kern_->segment(m.seg).pageSize();
 
     if (market_) {
         market_->settle(client.account, contended());
@@ -230,23 +188,21 @@ SystemPageCacheManager::doGrant(ClientId c, kernel::SegmentId dst_seg,
         want = std::min(want, room);
     }
 
-    std::vector<hw::FrameId> frames = pickFrames(c, want, constraint);
-    if (frames.size() < slots.size())
-        pendingDemand_ += slots.size() - frames.size();
+    std::vector<hw::FrameId> frames =
+        pickFrames(m.client, want, m.constraint);
+    if (frames.size() < asked)
+        pendingDemand_ += asked - frames.size();
     else if (pendingDemand_ > 0)
         --pendingDemand_;
 
-    // Conventional-policy comparator. A short grant under Clock (the
-    // legacy shape) sends the hand sweeping every resident frame for
-    // victims before giving up; list-based policies keep an eviction
-    // order and pay the scan only for the frames actually missing.
-    if (sp_.clockScanPerFrame > 0 && frames.size() < slots.size()) {
-        std::uint64_t scanned =
-            sp_.scanPolicy == policy::Kind::Clock
-                ? kern_->memory().numFrames() - freeFrames()
-                : slots.size() - frames.size();
+    // Conventional-clock comparator: a short grant sends the global
+    // clock hand sweeping every resident frame for victims before
+    // giving up.
+    if (sp_.clockScanPerFrame > 0 && frames.size() < asked) {
+        const std::uint64_t resident =
+            kern_->memory().numFrames() - freeFrames();
         co_await kern_->simulation().delay(
-            static_cast<sim::Duration>(scanned) *
+            static_cast<sim::Duration>(resident) *
             sp_.clockScanPerFrame);
     }
 
@@ -254,14 +210,10 @@ SystemPageCacheManager::doGrant(ClientId c, kernel::SegmentId dst_seg,
     // scattered in the pool, so the functional move is per-frame.
     if (!frames.empty()) {
         ++kern_->stats().migrateCalls;
-        // A batched round pays the migrate base once for all of its
-        // bids; the legacy path (charge_base == nullptr) pays it per
-        // request, as the single-server SPCM always did.
-        sim::Duration base = kern_->config().cost.migrateBase;
-        if (charge_base) {
-            base = *charge_base ? base : 0;
-            *charge_base = false;
-        }
+        // A round pays the migrate base once for all of its bids.
+        const sim::Duration base =
+            charge_base ? kern_->config().cost.migrateBase : 0;
+        charge_base = false;
         co_await kern_->simulation().delay(
             base +
             static_cast<sim::Duration>(frames.size()) *
@@ -277,15 +229,13 @@ SystemPageCacheManager::doGrant(ClientId c, kernel::SegmentId dst_seg,
                 set |= kZeroFill; // security: crossed a user boundary
             }
             std::uint64_t zeroed = 0;
-            kern_->migratePagesNow(kernel::kPhysSegment, dst_seg,
-                                   frames[i], slots[i], 1, set,
+            kern_->migratePagesNow(kernel::kPhysSegment, m.seg,
+                                   frames[i], m.slots[i], 1, set,
                                    kernel::flag::kDirty |
                                        kernel::flag::kReferenced,
                                    &zeroed);
             zero_bytes += zeroed;
         }
-        if (sharded())
-            unlinked_ -= frames.size();
         if (zero_bytes)
             co_await kern_->chargeZero(zero_bytes);
         client.account.bytesHeld +=
@@ -293,39 +243,34 @@ SystemPageCacheManager::doGrant(ClientId c, kernel::SegmentId dst_seg,
     }
 
     ++grants_;
-    framesGranted_ += frames.size();
-    noteBidOutcome(c, slots.size(), frames.size());
+    noteBidOutcome(m.client, asked, frames.size());
     co_return frames.size();
 }
 
 sim::Task<std::uint64_t>
-SystemPageCacheManager::doReturn(ClientId c, kernel::SegmentId src_seg,
-                                 const std::vector<kernel::PageIndex> &slots)
+SystemPageCacheManager::doReturn(const MarketMsg &m)
 {
-    Client &client = clients_.at(c);
-    const std::uint32_t page_size =
-        kern_->segment(src_seg).pageSize();
+    Client &client = clients_.at(m.client);
+    const std::uint32_t page_size = kern_->segment(m.seg).pageSize();
     std::uint64_t returned = 0;
-    if (!slots.empty()) {
+    if (!m.slots.empty()) {
         ++kern_->stats().migrateCalls;
         co_await kern_->simulation().delay(
             kern_->config().cost.migrateBase +
-            static_cast<sim::Duration>(slots.size()) *
+            static_cast<sim::Duration>(m.slots.size()) *
                 (kern_->config().cost.migratePerPage +
                  kern_->config().cost.mapInstall));
-        for (kernel::PageIndex slot : slots) {
+        for (kernel::PageIndex slot : m.slots) {
             const kernel::PageEntry *e =
-                kern_->segment(src_seg).findPage(slot);
+                kern_->segment(m.seg).findPage(slot);
             if (!e)
                 continue;
-            hw::FrameId f = e->frame;
-            kern_->migratePagesNow(src_seg, kernel::kPhysSegment, slot,
-                                   f, 1,
+            kern_->migratePagesNow(m.seg, kernel::kPhysSegment, slot,
+                                   e->frame, 1,
                                    kReadable | kWritable,
                                    kernel::flag::kDirty |
                                        kernel::flag::kReferenced |
                                        kernel::flag::kPinned);
-            noteFrameFreed(f);
             ++returned;
         }
         std::uint64_t bytes = returned * page_size;
@@ -380,34 +325,8 @@ SystemPageCacheManager::requestPages(ClientId c,
                                      std::vector<kernel::PageIndex> slots,
                                      Constraint constraint)
 {
-    if (sp_.batchedRounds) {
-        // A reclaim callback running inside the round server must not
-        // park a bid for the next round (deadlock); serve it directly.
-        // Only the client being reclaimed qualifies: anyone else who
-        // resumes while the server is suspended parks like normal.
-        if (inRound_ && c == reclaimTarget_)
-            co_return co_await doGrant(c, dst_seg, slots, constraint,
-                                       nullptr);
-        co_return co_await roundRequest(true, c, dst_seg,
-                                        std::move(slots), constraint);
-    }
-
-    // Injected memory-pressure storm: before serving this request,
-    // force clients to shed frames (a burst of the patrol's forced
-    // reclamation). Runs outside the serial lock because the reclaim
-    // callbacks re-enter through returnPages.
-    if (inject_) {
-        if (std::uint64_t storm = inject_->reclaimStorm())
-            co_await stormSweep(storm);
-    }
-
-    co_await kern_->simulation().delay(ipcCost_.send);
-    co_await serial_.lock();
-    std::uint64_t granted =
-        co_await doGrant(c, dst_seg, slots, constraint, nullptr);
-    serial_.unlock();
-    co_await kern_->simulation().delay(ipcCost_.reply);
-    co_return granted;
+    MarketMsg m{true, c, dst_seg, std::move(slots), constraint};
+    return serve(std::move(m));
 }
 
 sim::Task<std::uint64_t>
@@ -415,38 +334,78 @@ SystemPageCacheManager::returnPages(ClientId c,
                                     kernel::SegmentId src_seg,
                                     std::vector<kernel::PageIndex> slots)
 {
-    if (sp_.batchedRounds) {
-        if (inRound_ && c == reclaimTarget_)
-            co_return co_await doReturn(c, src_seg, slots);
-        co_return co_await roundRequest(false, c, src_seg,
-                                        std::move(slots), {});
-    }
-
-    co_await kern_->simulation().delay(ipcCost_.send);
-    co_await serial_.lock();
-    std::uint64_t returned = co_await doReturn(c, src_seg, slots);
-    serial_.unlock();
-    co_await kern_->simulation().delay(ipcCost_.reply);
-    co_return returned;
+    MarketMsg m{false, c, src_seg, std::move(slots), {}};
+    return serve(std::move(m));
 }
 
 sim::Task<std::uint64_t>
-SystemPageCacheManager::roundRequest(bool is_bid, ClientId c,
-                                     kernel::SegmentId seg,
-                                     std::vector<kernel::PageIndex> slots,
-                                     Constraint constraint)
+SystemPageCacheManager::serve(MarketMsg m)
 {
-    const std::uint64_t want = slots.size();
-    RoundEntry e{MarketMsg{is_bid, c, seg, std::move(slots), constraint},
-                 want, kern_->simulation().now(),
-                 sim::Promise<std::uint64_t>(kern_->simulation())};
-    sim::Future<std::uint64_t> fut = e.done.future();
-    pendingRound_.push_back(std::move(e));
-    if (!roundDraining_) {
-        roundDraining_ = true;
-        kern_->simulation().spawn(drainRounds());
+    sim::Simulation &s = kern_->simulation();
+    std::uint64_t got = 0;
+    if (inRound_ && m.client == reclaimTarget_) {
+        // A reclaim callback of the running round's storm: parking it
+        // for the next round would deadlock this one, so it is served
+        // inline, inside the round's crossing.
+        co_await serveRound({&m, 1}, {&got, 1});
+        co_return got;
     }
-    co_return co_await fut;
+    if (sp_.batchedRounds) {
+        const std::uint64_t want = m.slots.size();
+        RoundEntry e{std::move(m), want, s.now(),
+                     sim::Promise<std::uint64_t>(s)};
+        sim::Future<std::uint64_t> fut = e.done.future();
+        pendingRound_.push_back(std::move(e));
+        if (!roundDraining_) {
+            roundDraining_ = true;
+            s.spawn(drainRounds());
+        }
+        co_return co_await fut;
+    }
+    // Without rounds a bid draws its storm before the crossing, outside
+    // the lock: the reclaim callbacks re-enter returnPages.
+    if (m.isBid && inject_) {
+        if (std::uint64_t storm = inject_->reclaimStorm())
+            co_await stormSweep(storm);
+    }
+    co_await ipc::cross(s, &serial_, ipcCost_.send, ipcCost_.reply,
+                        [&] { return serveRound({&m, 1}, {&got, 1}); });
+    co_return got;
+}
+
+sim::Task<>
+SystemPageCacheManager::serveRound(std::span<const MarketMsg> round,
+                                   std::span<std::uint64_t> out)
+{
+    for (std::size_t i = 0; i < round.size(); ++i) {
+        if (!round[i].isBid)
+            out[i] = co_await doReturn(round[i]);
+    }
+    bool charge_base = true;
+    for (std::size_t i = 0; i < round.size(); ++i) {
+        if (round[i].isBid)
+            out[i] = co_await doGrant(round[i], charge_base);
+    }
+}
+
+sim::Task<>
+SystemPageCacheManager::runRound(std::span<const MarketMsg> round,
+                                 std::span<std::uint64_t> out)
+{
+    inRound_ = true;
+    try {
+        // One storm draw per round, not per bid: the injected herd
+        // pressure scales with auction rounds.
+        if (inject_) {
+            if (std::uint64_t storm = inject_->reclaimStorm())
+                co_await stormSweep(storm);
+        }
+        co_await serveRound(round, out);
+    } catch (...) {
+        inRound_ = false;
+        throw;
+    }
+    inRound_ = false;
 }
 
 sim::Task<>
@@ -462,7 +421,7 @@ SystemPageCacheManager::drainRounds()
             // admission interval (frames may have been freed by then;
             // their ages grow toward the admission deadline either
             // way, so starvation cannot become a deadlock).
-            co_await s.delay(sp_.admissionRetry);
+            co_await s.delay(kAdmissionRetry);
         }
         std::vector<RoundEntry> round;
         round.reserve(waitQueue_.size() + pendingRound_.size());
@@ -478,22 +437,27 @@ SystemPageCacheManager::drainRounds()
         if (round.empty())
             continue;
 
+        // The messages travel in the crossing; a parked bid takes its
+        // message back below.
         std::vector<MarketMsg> msgs;
         msgs.reserve(round.size());
         std::uint64_t nbids = 0;
-        for (const RoundEntry &e : round) {
-            msgs.push_back(e.msg);
+        for (RoundEntry &e : round) {
             nbids += e.msg.isBid ? 1 : 0;
+            msgs.push_back(std::move(e.msg));
         }
         ++rounds_;
         roundBids_ += nbids;
         roundOffers_ += round.size() - nbids;
         kernel::noteThreadMarketRound(nbids);
 
-        std::vector<std::uint64_t> grants;
+        std::vector<std::uint64_t> grants(round.size(), 0);
         std::exception_ptr err;
+        ++roundCrossings_;
         try {
-            grants = co_await roundPort_->callBatch(std::move(msgs));
+            co_await ipc::cross(s, &serial_, ipcCost_.send,
+                                ipcCost_.reply,
+                                [&] { return runRound(msgs, grants); });
         } catch (...) {
             err = std::current_exception();
         }
@@ -507,7 +471,7 @@ SystemPageCacheManager::drainRounds()
         for (std::size_t i = 0; i < round.size(); ++i) {
             RoundEntry &e = round[i];
             std::uint64_t got = grants[i];
-            bool starved = e.msg.isBid && e.want > 0 && got == 0;
+            bool starved = msgs[i].isBid && e.want > 0 && got == 0;
             bool can_wait =
                 sp_.admissionMaxWaiters > 0 &&
                 sp_.admissionMaxWait > 0 &&
@@ -515,6 +479,7 @@ SystemPageCacheManager::drainRounds()
                 waitQueue_.size() < sp_.admissionMaxWaiters;
             if (starved && can_wait) {
                 ++bidsWaited_;
+                e.msg = std::move(msgs[i]);
                 waitQueue_.push_back(std::move(e));
                 continue;
             }
@@ -524,49 +489,6 @@ SystemPageCacheManager::drainRounds()
         }
     }
     roundDraining_ = false;
-}
-
-sim::Task<>
-SystemPageCacheManager::marketServer()
-{
-    for (;;) {
-        auto batch = co_await roundPort_->receiveBatch();
-        std::vector<std::uint64_t> out(batch.requests.size(), 0);
-        inRound_ = true;
-        std::exception_ptr err;
-        try {
-            // One storm consultation per round, not per bid: the
-            // injected herd pressure scales with auction rounds.
-            if (inject_) {
-                if (std::uint64_t storm = inject_->reclaimStorm())
-                    co_await stormSweep(storm);
-            }
-            // Offers first: frames freed this round fund this round's
-            // bids. Both phases run in arrival order.
-            for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-                const MarketMsg &m = batch.requests[i];
-                if (!m.isBid)
-                    out[i] = co_await doReturn(m.client, m.seg,
-                                               m.slots);
-            }
-            bool charge_base = true;
-            for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-                const MarketMsg &m = batch.requests[i];
-                if (m.isBid) {
-                    out[i] = co_await doGrant(m.client, m.seg, m.slots,
-                                              m.constraint,
-                                              &charge_base);
-                }
-            }
-        } catch (...) {
-            err = std::current_exception();
-        }
-        inRound_ = false;
-        if (err)
-            batch.reply.setError(err);
-        else
-            batch.reply.setValue(std::move(out));
-    }
 }
 
 std::uint64_t
@@ -594,11 +516,8 @@ SystemPageCacheManager::grantNow(
                                kernel::flag::kDirty |
                                    kernel::flag::kReferenced);
     }
-    if (sharded())
-        unlinked_ -= frames.size();
     client.account.bytesHeld +=
         frames.size() * static_cast<std::uint64_t>(page_size);
-    framesGranted_ += frames.size();
     return frames.size();
 }
 
@@ -612,23 +531,26 @@ SystemPageCacheManager::noteIo(ClientId c, std::uint64_t bytes)
 sim::Task<SystemPageCacheManager::MemoryInfo>
 SystemPageCacheManager::query(ClientId c)
 {
-    co_await kern_->simulation().delay(ipcCost_.send);
-    Client &client = clients_.at(c);
     MemoryInfo info;
-    info.freeFrames = freeFrames();
-    info.totalFrames = kern_->memory().numFrames();
-    info.contended = contended();
-    if (market_) {
-        market_->settle(client.account, contended());
-        info.balance = client.account.balance;
-        info.incomeRate = client.account.incomeRate;
-        info.affordableBytes =
-            market_->affordableBytes(client.account);
-    } else {
-        info.affordableBytes = info.freeFrames *
-                               kern_->config().pageSize;
-    }
-    co_await kern_->simulation().delay(ipcCost_.reply);
+    co_await ipc::cross(
+        kern_->simulation(), nullptr, ipcCost_.send, ipcCost_.reply,
+        [&] {
+            Client &client = clients_.at(c);
+            info.freeFrames = freeFrames();
+            info.totalFrames = kern_->memory().numFrames();
+            info.contended = contended();
+            if (market_) {
+                market_->settle(client.account, contended());
+                info.balance = client.account.balance;
+                info.incomeRate = client.account.incomeRate;
+                info.affordableBytes =
+                    market_->affordableBytes(client.account);
+            } else {
+                info.affordableBytes =
+                    info.freeFrames * kern_->config().pageSize;
+            }
+            return sim::Task<>{};
+        });
     co_return info;
 }
 

@@ -260,8 +260,6 @@ class SimMutex
 
     void unlock() { sem_.release(); }
 
-    bool tryLock() { return sem_.tryAcquire(); }
-
   private:
     Semaphore sem_;
 };

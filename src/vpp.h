@@ -30,7 +30,7 @@
 #include "hw/types.h"
 
 // IPC
-#include "ipc/port.h"
+#include "ipc/cross.h"
 
 // Fault injection
 #include "inject/inject.h"

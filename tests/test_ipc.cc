@@ -1,156 +1,129 @@
 /**
  * @file
- * Tests for the V-style synchronous message-passing port.
+ * Tests for the Send/Reply crossing, ipc::cross.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
+#include <stdexcept>
 
-#include "core/kernel.h" // runTask
-#include "ipc/port.h"
+#include "ipc/cross.h"
 
 namespace vpp::ipc {
 namespace {
 
-using kernel::runTask;
 using sim::usec;
 
-struct Req
+/** When a crossing's body ran, and when its caller got the answer. */
+struct Trace
 {
-    int x;
+    sim::SimTime entered = -1;
+    sim::SimTime left = -1;
+    sim::SimTime returned = -1;
+    bool threw = false;
 };
 
-struct Resp
+/** The server's work: 10 us, then optionally a failure. */
+sim::Task<>
+work(sim::Simulation &s, Trace *t, bool fail)
 {
-    int y;
-};
-
-TEST(ServerPort, RoundTripDeliversAndCharges)
-{
-    sim::Simulation s;
-    CallCost cost{usec(141), usec(141)}; // as from the DECstation model
-    ServerPort<Req, Resp> port(s, cost);
-
-    // Server: doubles the request after 10 us of work.
-    s.spawn([](sim::Simulation &sim,
-               ServerPort<Req, Resp> &p) -> sim::Task<> {
-        auto pending = co_await p.receive();
-        co_await sim.delay(usec(10));
-        pending.reply.setValue(Resp{pending.request.x * 2});
-    }(s, port));
-
-    int got = 0;
-    sim::SimTime done_at = 0;
-    s.spawn([](sim::Simulation &sim, ServerPort<Req, Resp> &p,
-               int *out, sim::SimTime *at) -> sim::Task<> {
-        Resp r = co_await p.call(Req{21});
-        *out = r.y;
-        *at = sim.now();
-    }(s, port, &got, &done_at));
-    s.run();
-
-    EXPECT_EQ(got, 42);
-    // send + server work + reply.
-    EXPECT_EQ(done_at, usec(141 + 10 + 141));
-    EXPECT_EQ(port.calls(), 1u);
+    t->entered = s.now();
+    co_await s.delay(usec(10));
+    t->left = s.now();
+    if (fail)
+        throw std::runtime_error("server failed");
 }
 
-TEST(ServerPort, QueuedRequestsServeFifo)
+/** One caller crossing at the DECstation's 141 us each way. */
+sim::Task<>
+caller(sim::Simulation &s, sim::SimMutex *lock, Trace *t,
+       bool fail = false)
 {
-    sim::Simulation s;
-    ServerPort<Req, Resp> port(s, CallCost{usec(1), usec(1)});
-
-    std::vector<int> served;
-    s.spawn([](sim::Simulation &sim, ServerPort<Req, Resp> &p,
-               std::vector<int> *order) -> sim::Task<> {
-        for (int i = 0; i < 3; ++i) {
-            auto pending = co_await p.receive();
-            co_await sim.delay(usec(5));
-            order->push_back(pending.request.x);
-            pending.reply.setValue(Resp{0});
-        }
-    }(s, port, &served));
-
-    for (int i = 0; i < 3; ++i) {
-        s.spawn([](ServerPort<Req, Resp> &p, int x) -> sim::Task<> {
-            co_await p.call(Req{x});
-        }(port, i));
+    try {
+        co_await cross(s, lock, usec(141), usec(141),
+                       [&] { return work(s, t, fail); });
+    } catch (const std::runtime_error &) {
+        t->threw = true;
     }
-    s.run();
-    EXPECT_EQ(served, (std::vector<int>{0, 1, 2}));
+    t->returned = s.now();
 }
 
-TEST(ServerPort, CostFromMachineMatchesTable1Decomposition)
+TEST(IpcCross, ChargesInAndOutAroundTheBody)
+{
+    sim::Simulation s;
+    Trace t;
+    s.spawn(caller(s, nullptr, &t));
+    s.run();
+    EXPECT_EQ(t.entered, usec(141));
+    EXPECT_EQ(t.left, usec(141 + 10));
+    EXPECT_EQ(t.returned, usec(141 + 10 + 141));
+
+    // An empty body task runs nothing; both charges still apply.
+    bool called = false;
+    s.spawn(cross(s, nullptr, usec(5), usec(7), [&] {
+        called = true;
+        return sim::Task<>{};
+    }));
+    const sim::SimTime start = s.now();
+    s.run();
+    EXPECT_TRUE(called);
+    EXPECT_EQ(s.now() - start, usec(5 + 7));
+}
+
+TEST(IpcCross, CallersOnOneLockRunOneAfterTheOther)
+{
+    sim::Simulation s;
+    sim::SimMutex lock(s);
+    Trace a, b;
+    s.spawn(caller(s, &lock, &a));
+    s.spawn(caller(s, &lock, &b));
+    s.run();
+    EXPECT_EQ(a.entered, usec(141));
+    EXPECT_EQ(a.returned, usec(141 + 10 + 141));
+    // b arrives with a, then waits for a's body to release the lock.
+    EXPECT_EQ(b.entered, a.left);
+    EXPECT_EQ(b.left, usec(141 + 10 + 10));
+    EXPECT_EQ(b.returned, usec(141 + 10 + 10 + 141));
+}
+
+TEST(IpcCross, ThrowingBodyReleasesTheLockAndSkipsOut)
+{
+    sim::Simulation s;
+    sim::SimMutex lock(s);
+    Trace a, b;
+    s.spawn(caller(s, &lock, &a, /*fail=*/true));
+    s.spawn(caller(s, &lock, &b));
+    s.run();
+    EXPECT_TRUE(a.threw);
+    // The failure reaches the caller as the body ends: no reply charge.
+    EXPECT_EQ(a.returned, a.left);
+    EXPECT_EQ(a.returned, usec(141 + 10));
+    // The lock was released, so the next caller still gets in.
+    EXPECT_FALSE(b.threw);
+    EXPECT_EQ(b.entered, a.left);
+    EXPECT_EQ(b.returned, usec(141 + 10 + 10 + 141));
+}
+
+TEST(IpcCross, NullLockCallersDoNotWait)
+{
+    sim::Simulation s;
+    Trace a, b;
+    s.spawn(caller(s, nullptr, &a));
+    s.spawn(caller(s, nullptr, &b));
+    s.run();
+    EXPECT_EQ(a.entered, usec(141));
+    EXPECT_EQ(b.entered, usec(141));
+    EXPECT_EQ(a.returned, usec(141 + 10 + 141));
+    EXPECT_EQ(b.returned, usec(141 + 10 + 141));
+}
+
+TEST(IpcCross, CostFromMachineMatchesTable1Decomposition)
 {
     hw::MachineConfig m = hw::decstation5000_200();
     CallCost c = CallCost::fromMachine(m);
     // ipcSend(35) + contextSwitch(106) each way.
     EXPECT_EQ(c.send, usec(141));
     EXPECT_EQ(c.reply, usec(141));
-}
-
-TEST(ServerPort, BatchCallChargesOneCrossingForAllRequests)
-{
-    sim::Simulation s;
-    CallCost cost{usec(141), usec(141)};
-    ServerPort<Req, Resp> port(s, cost);
-
-    // Server: answer the whole batch with one reply, 10 us per item.
-    s.spawn([](sim::Simulation &sim,
-               ServerPort<Req, Resp> &p) -> sim::Task<> {
-        auto pending = co_await p.receiveBatch();
-        std::vector<Resp> out;
-        for (const Req &r : pending.requests) {
-            co_await sim.delay(usec(10));
-            out.push_back(Resp{r.x * 2});
-        }
-        pending.reply.setValue(std::move(out));
-    }(s, port));
-
-    std::vector<int> got;
-    sim::SimTime done_at = 0;
-    s.spawn([](sim::Simulation &sim, ServerPort<Req, Resp> &p,
-               std::vector<int> *out, sim::SimTime *at) -> sim::Task<> {
-        std::vector<Req> reqs;
-        for (int i = 1; i <= 3; ++i)
-            reqs.push_back(Req{i});
-        std::vector<Resp> rs = co_await p.callBatch(std::move(reqs));
-        for (const Resp &r : rs)
-            out->push_back(r.y);
-        *at = sim.now();
-    }(s, port, &got, &done_at));
-    s.run();
-
-    EXPECT_EQ(got, (std::vector<int>{2, 4, 6}));
-    // One send + 3x work + one reply: the crossings are NOT tripled.
-    EXPECT_EQ(done_at, usec(141 + 3 * 10 + 141));
-    EXPECT_EQ(port.calls(), 1u);
-    EXPECT_EQ(port.batchedRequests(), 3u);
-    EXPECT_TRUE(port.idle());
-}
-
-TEST(ServerPort, ServerErrorPropagatesToCaller)
-{
-    sim::Simulation s;
-    ServerPort<Req, Resp> port(s, CallCost{0, 0});
-    s.spawn([](ServerPort<Req, Resp> &p) -> sim::Task<> {
-        auto pending = co_await p.receive();
-        pending.reply.setError(std::make_exception_ptr(
-            std::runtime_error("server failed")));
-    }(port));
-
-    bool caught = false;
-    s.spawn([](ServerPort<Req, Resp> &p, bool *c) -> sim::Task<> {
-        try {
-            co_await p.call(Req{1});
-        } catch (const std::runtime_error &) {
-            *c = true;
-        }
-    }(port, &caught));
-    s.run();
-    EXPECT_TRUE(caught);
 }
 
 } // namespace
