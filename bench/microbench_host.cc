@@ -58,6 +58,35 @@ BM_EventScheduling(benchmark::State &state)
 BENCHMARK(BM_EventScheduling);
 
 void
+BM_DeadlineChurn(benchmark::State &state)
+{
+    // The resilient fault's event pattern without the kernel: each
+    // attempt arms a 120-ms deadline, awaits ten 1.4-ms steps and
+    // cancels the deadline, so withdrawn deadlines outnumber live
+    // ones. The deadline captures shared state, as the kernel's
+    // Promise-capturing one does, so it takes a slab slot.
+    constexpr int kAttempts = 256;
+    sim::Simulation s;
+    auto fired = std::make_shared<std::uint64_t>(0);
+    for (auto _ : state) {
+        s.spawn([](sim::Simulation *sim,
+                   std::shared_ptr<std::uint64_t> fired) -> sim::Task<> {
+            for (int a = 0; a < kAttempts; ++a) {
+                sim::EventId deadline = sim->schedule(
+                    sim->now() + sim::msec(120), [fired] { ++*fired; });
+                for (int k = 0; k < 10; ++k)
+                    co_await sim->delay(sim::usec(1400));
+                sim->cancel(deadline);
+            }
+        }(&s, fired));
+        s.run();
+    }
+    benchmark::DoNotOptimize(*fired);
+    state.SetItemsProcessed(state.iterations() * kAttempts);
+}
+BENCHMARK(BM_DeadlineChurn);
+
+void
 BM_EventThroughput(benchmark::State &state)
 {
     // Many concurrent coroutines pushing delays through the queue:
@@ -319,6 +348,36 @@ BM_TouchResident(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TouchResident);
+
+void
+BM_TouchResidentInTask(benchmark::State &state)
+{
+    // BM_TouchResident's warm touch without its runTask wrapper: one
+    // task per iteration makes 1024 resident touches, so the per-item
+    // cost is the touch itself.
+    constexpr int kTouches = 1024;
+    sim::Simulation s;
+    kernel::Kernel kern(s, benchMachine());
+    mgr::SystemPageCacheManager spcm(kern, std::nullopt);
+    mgr::GenericSegmentManager manager(
+        kern, "m", hw::ManagerMode::SameProcess, &spcm, 1);
+    manager.initNow(256, 128);
+    kernel::SegmentId seg =
+        kern.createSegmentNow("heap", 4096, 1 << 20, 1, &manager);
+    kernel::Process proc("p", 1);
+    kernel::runTask(s, kern.touchSegment(proc, seg, 0,
+                                         kernel::AccessType::Write));
+    for (auto _ : state) {
+        kernel::runTask(s, [](kernel::Kernel *k, kernel::Process *p,
+                              kernel::SegmentId sg) -> sim::Task<> {
+            for (int i = 0; i < kTouches; ++i)
+                co_await k->touchSegment(*p, sg, 0,
+                                         kernel::AccessType::Read);
+        }(&kern, &proc, seg));
+    }
+    state.SetItemsProcessed(state.iterations() * kTouches);
+}
+BENCHMARK(BM_TouchResidentInTask);
 
 void
 BM_CopyFrame(benchmark::State &state)
