@@ -90,8 +90,11 @@ Simulation::~Simulation()
         drop(nowQueue_.front());
     if (nextValid_)
         drop(next_);
-    for (; !heap_.empty(); heap_.pop())
-        drop(heap_.top());
+    while (!heap_.empty()) {
+        const Event ev = heap_.back();
+        heap_.pop_back();
+        drop(ev);
+    }
 }
 
 void
@@ -136,6 +139,14 @@ Simulation::fireEvent(Event &ev)
         return;
       }
     }
+}
+
+void
+Simulation::dropTombstones()
+{
+    std::erase_if(heap_, cancelled);
+    std::make_heap(heap_.begin(), heap_.end(), EventLater{});
+    tombstones_ = 0;
 }
 
 SimTime
