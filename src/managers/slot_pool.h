@@ -178,6 +178,7 @@ class SlotPool
     takeLowest(std::uint64_t n)
     {
         std::vector<kernel::PageIndex> out;
+        out.reserve(std::min(n, count_));
         while (out.size() < n && count_ > 0)
             out.push_back(popLowest());
         return out;
@@ -188,6 +189,7 @@ class SlotPool
     takeHighest(std::uint64_t n)
     {
         std::vector<kernel::PageIndex> out;
+        out.reserve(std::min(n, count_));
         while (out.size() < n && count_ > 0) {
             const std::uint64_t i = findHighest();
             erase(i);

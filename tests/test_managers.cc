@@ -15,6 +15,7 @@
 #include "managers/generic.h"
 #include "managers/market.h"
 #include "managers/spcm.h"
+#include "sim/mem_accounting.h"
 #include "uio/block_io.h"
 #include "uio/file_server.h"
 
@@ -455,6 +456,35 @@ TEST_F(GenericTest, SegmentCloseReclaimsAllPages)
     std::uint64_t free_before = mgr.freePages();
     runTask(s, kern.destroySegment(seg));
     EXPECT_EQ(mgr.freePages(), free_before + 10);
+    std::string why;
+    EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
+}
+
+TEST(GenericRefill, GrantAndReturnAllocateAFixedFew)
+{
+    if (!sim::mem::hooksActive())
+        GTEST_SKIP() << "heap accounting compiled out";
+    // A pool refill from the SPCM and its return, once warm: the slot
+    // lists are reserved at their final size, so what is left does
+    // not grow with the number of frames moved.
+    sim::Simulation s;
+    kernel::Kernel kern(s, smallMachine());
+    SystemPageCacheManager spcm(kern, std::nullopt);
+    GenericSegmentManager mgr(kern, "app-mgr",
+                              hw::ManagerMode::SeparateProcess, &spcm, 1);
+    mgr.initNow(1024, 64);
+    for (std::uint64_t n : {128u, 8u}) {
+        SCOPED_TRACE(n);
+        ASSERT_EQ(runTask(s, mgr.requestFrames(n)), n);
+        ASSERT_EQ(runTask(s, mgr.surrenderFrames(n)), n);
+        const std::uint64_t a0 = sim::mem::threadAllocations();
+        ASSERT_EQ(runTask(s, mgr.requestFrames(n)), n);
+        const std::uint64_t a1 = sim::mem::threadAllocations();
+        ASSERT_EQ(runTask(s, mgr.surrenderFrames(n)), n);
+        const std::uint64_t a2 = sim::mem::threadAllocations();
+        EXPECT_EQ(a1 - a0, 3u);
+        EXPECT_EQ(a2 - a1, 2u);
+    }
     std::string why;
     EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
 }
