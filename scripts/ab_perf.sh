@@ -13,8 +13,8 @@
 #
 # Usage: scripts/ab_perf.sh [options] BASE [HEAD]
 #   BASE, HEAD          git revisions (HEAD defaults to HEAD)
-#   --workloads "W ..." e2ebench workloads (default: vm_fault_churn;
-#                       "" runs none)
+#   --workloads "W ..." e2ebench workloads (default: every workload
+#                       BENCHMARK.json names; "" runs none)
 #   --seconds S         seconds per e2ebench run (default 30)
 #   --seeds "N ..."     seeds to rotate through (default: 1 2 3)
 #   --bench REGEX       microbench_host --benchmark_filter (default:
@@ -30,7 +30,12 @@ set -eu
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 
-workloads=vm_fault_churn
+# Every workload the benchmark declares, so an A/B covers each row its
+# acceptance rule checks.
+workloads=$(python3 -c '
+import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))
+' "$repo/BENCHMARK.json")
 seconds=30
 seeds="1 2 3"
 bench=""

@@ -1,6 +1,7 @@
 #include "core/kernel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <sstream>
 
@@ -693,6 +694,7 @@ Kernel::configureCpus(unsigned cpus, bool snapshot_epochs)
     cpus_.reserve(cpus);
     for (unsigned i = 0; i < cpus; ++i)
         cpus_.push_back(std::make_unique<CpuState>());
+    parkedCpus_.assign((cpus + 63) / 64, 0);
     cpuSnapshotMode_ = snapshot_epochs;
     if (snapshot_epochs)
         publishCpuEpochs();
@@ -793,6 +795,7 @@ Kernel::touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
     CpuState &c = cpuOrThrow(cpu);
     sim::Promise<> done(*sim_);
     c.pending.push_back(PendingCpuTouch{&p, seg, page, a, done});
+    parkedCpus_[cpu / 64] |= std::uint64_t{1} << (cpu % 64);
     ++stats_.cpuTouchesQueued;
     if (!cpuDraining_) {
         cpuDraining_ = true;
@@ -812,15 +815,23 @@ Kernel::drainCpuTouches()
     co_await sim_->yield();
     for (;;) {
         bool any = false;
-        for (auto &cs : cpus_) {
-            if (cs->pending.empty())
-                continue;
-            any = true;
-            std::vector<PendingCpuTouch> batch =
-                std::move(cs->pending);
-            cs->pending.clear();
-            for (PendingCpuTouch &t : batch)
-                sim_->spawn(runCpuTouch(std::move(t)));
+        // A pass visits the parked CPUs in ascending id order. A CPU
+        // parked during the pass joins it only above the cursor, as it
+        // would in a scan of every queue.
+        for (std::size_t w = 0; w < parkedCpus_.size(); ++w) {
+            std::uint64_t visited = 0;
+            while (const std::uint64_t left = parkedCpus_[w] & ~visited) {
+                const int b = std::countr_zero(left);
+                visited = ~std::uint64_t{0} >> (63 - b);
+                parkedCpus_[w] &= ~(std::uint64_t{1} << b);
+                any = true;
+                // Swap rather than move the queue out, so the CPU keeps
+                // its capacity and its next park allocates nothing.
+                cpuBatch_.clear();
+                cpuBatch_.swap(cpus_[w * 64 + b]->pending);
+                for (PendingCpuTouch &t : cpuBatch_)
+                    sim_->spawn(runCpuTouch(std::move(t)));
+            }
         }
         if (!any)
             break;
@@ -948,8 +959,8 @@ Kernel::drainFaultQueue(SegmentManager *mgr)
     co_await sim_->yield();
     FaultQueue &q = faultQueues_[mgr];
     while (!q.pending.empty()) {
-        std::vector<PendingFault> batch = std::move(q.pending);
-        q.pending.clear();
+        std::vector<PendingFault> batch = std::move(q.spare);
+        batch.swap(q.pending);
         ++stats_.faultBatches;
         stats_.faultsCoalesced += batch.size();
         FaultBatch faults;
@@ -967,6 +978,8 @@ Kernel::drainFaultQueue(SegmentManager *mgr)
             for (PendingFault &p : batch)
                 p.done.setError(std::current_exception());
         }
+        batch.clear();
+        q.spare = std::move(batch);
     }
     q.draining = false;
 }

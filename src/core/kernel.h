@@ -386,11 +386,12 @@ class Kernel
 
     /**
      * Fault entry point for a CPU: parks the touch on the CPU's
-     * in-queue; a single drain walks the queues in CPU-id order and
-     * feeds the faults through the regular touchSegment path (and so
-     * into the coalescing/batch machinery). Same-instant faults from
-     * many CPUs therefore reach managers in one deterministic batch
-     * order regardless of how many shards raised them.
+     * in-queue and marks the CPU parked; a single drain visits the
+     * parked CPUs in id order, each queue FIFO, and feeds the faults
+     * through the regular touchSegment path (and so into the
+     * coalescing/batch machinery). Same-instant faults from many CPUs
+     * therefore reach managers in one deterministic batch order
+     * regardless of how many shards raised them.
      */
     sim::Task<> touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
                            PageIndex page, AccessType a);
@@ -569,6 +570,9 @@ class Kernel
     struct FaultQueue
     {
         std::vector<PendingFault> pending;
+        /// The drain's batch storage between batches; swapped with
+        /// `pending`, so neither list gives up its capacity.
+        std::vector<PendingFault> spare;
         bool draining = false;
     };
 
@@ -612,6 +616,10 @@ class Kernel
     sim::Task<> runCpuTouch(PendingCpuTouch t);
 
     std::vector<std::unique_ptr<CpuState>> cpus_;
+    /// Bit c % 64 of word c / 64: CPU c has touches parked.
+    std::vector<std::uint64_t> parkedCpus_;
+    /// The drain's batch buffer, swapped with each parked queue.
+    std::vector<PendingCpuTouch> cpuBatch_;
     bool cpuSnapshotMode_ = false;
     bool cpuDraining_ = false;
 

@@ -49,8 +49,10 @@ struct World
     }
 
     sim::Task<> cpuLoop(Cpu &cpu);
-    sim::Task<> touchOnce(Cpu &cpu, kernel::SegmentId seg,
-                          kernel::PageIndex page, kernel::AccessType a);
+    bool touchCached(Cpu &cpu, kernel::SegmentId seg,
+                     kernel::PageIndex page, kernel::AccessType a);
+    sim::Task<> kernelTrip(Cpu &cpu, kernel::SegmentId seg,
+                           kernel::PageIndex page, kernel::AccessType a);
     sim::Task<> serveMiss(unsigned cpu, kernel::SegmentId seg,
                           kernel::PageIndex page, kernel::AccessType a,
                           unsigned srcShard, sim::Promise<> done);
@@ -137,9 +139,15 @@ World::World(const SharedKernelParams &p)
     }
 }
 
-sim::Task<>
-World::touchOnce(Cpu &cpu, kernel::SegmentId seg,
-                 kernel::PageIndex page, kernel::AccessType a)
+/**
+ * Count a touch and probe the CPU's cache: true when the cached
+ * resolution authorises the access, which is then served on the owning
+ * shard with no kernel involvement at all. A plain call, so a hit
+ * builds no coroutine frame.
+ */
+bool
+World::touchCached(Cpu &cpu, kernel::SegmentId seg,
+                   kernel::PageIndex page, kernel::AccessType a)
 {
     ++cpu.touches;
     const std::uint32_t need = a == kernel::AccessType::Write
@@ -148,11 +156,17 @@ World::touchOnce(Cpu &cpu, kernel::SegmentId seg,
     const kernel::CpuResolution *r = kern.cpuResolve(cpu.id, seg, page);
     if (r && (r->flags & need) && (r->regionProt & need) &&
         !(a == kernel::AccessType::Write && r->viaCow)) {
-        // Fully local: the cached resolution authorises the access on
-        // the owning shard, with no kernel involvement at all.
         ++cpu.localHits;
-        co_return;
+        return true;
     }
+    return false;
+}
+
+/** A touch the cache could not serve goes to the kernel. */
+sim::Task<>
+World::kernelTrip(Cpu &cpu, kernel::SegmentId seg,
+                  kernel::PageIndex page, kernel::AccessType a)
+{
     ++cpu.kernelTrips;
     if (cpu.shard == 0) {
         // Home CPUs reach the kernel without an IPI hop.
@@ -220,7 +234,8 @@ World::cpuLoop(Cpu &cpu)
                 cpu.rng.uniform() < p.writeFraction
                     ? kernel::AccessType::Write
                     : kernel::AccessType::Read;
-            co_await touchOnce(cpu, rels[rel], page, a);
+            if (!touchCached(cpu, rels[rel], page, a))
+                co_await kernelTrip(cpu, rels[rel], page, a);
         }
         pool.release();
         ++cpu.txns;

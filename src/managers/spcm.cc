@@ -320,22 +320,19 @@ SystemPageCacheManager::stormSweep(std::uint64_t frames)
 }
 
 sim::Task<std::uint64_t>
-SystemPageCacheManager::requestPages(ClientId c,
-                                     kernel::SegmentId dst_seg,
-                                     std::vector<kernel::PageIndex> slots,
-                                     Constraint constraint)
+SystemPageCacheManager::requestPages(
+    ClientId c, kernel::SegmentId dst_seg,
+    const std::vector<kernel::PageIndex> &slots, Constraint constraint)
 {
-    MarketMsg m{true, c, dst_seg, std::move(slots), constraint};
-    return serve(std::move(m));
+    return serve(MarketMsg{true, c, dst_seg, slots, constraint});
 }
 
 sim::Task<std::uint64_t>
-SystemPageCacheManager::returnPages(ClientId c,
-                                    kernel::SegmentId src_seg,
-                                    std::vector<kernel::PageIndex> slots)
+SystemPageCacheManager::returnPages(
+    ClientId c, kernel::SegmentId src_seg,
+    const std::vector<kernel::PageIndex> &slots)
 {
-    MarketMsg m{false, c, src_seg, std::move(slots), {}};
-    return serve(std::move(m));
+    return serve(MarketMsg{false, c, src_seg, slots, {}});
 }
 
 sim::Task<std::uint64_t>

@@ -151,16 +151,25 @@ class SystemPageCacheManager
      * number granted: limited by free frames, the constraint, and —
      * with the market on — what the client can afford. Frames last
      * used by a different user are zero-filled on grant.
+     *
+     * The request reads @p slots in place, without a copy, until the
+     * returned task completes: the caller keeps the list alive and
+     * unchanged while it awaits the request. A list built in the
+     * awaiting full-expression (`co_await requestPages(c, s, {0, 1})`)
+     * lives that long.
      */
     sim::Task<std::uint64_t>
     requestPages(ClientId c, kernel::SegmentId dst_seg,
-                 std::vector<kernel::PageIndex> slots,
+                 const std::vector<kernel::PageIndex> &slots,
                  Constraint constraint = {});
 
-    /** Return frames from @p slots of @p src_seg to the global pool. */
+    /**
+     * Return frames from @p slots of @p src_seg to the global pool.
+     * @p slots must outlive the returned task, as for requestPages.
+     */
     sim::Task<std::uint64_t>
     returnPages(ClientId c, kernel::SegmentId src_seg,
-                std::vector<kernel::PageIndex> slots);
+                const std::vector<kernel::PageIndex> &slots);
 
     /**
      * Zero-simulated-time grant for benchmark setup: same frame
@@ -264,13 +273,17 @@ class SystemPageCacheManager
         TenantStats tenant;
     };
 
-    /** One bid or reclaim offer travelling through a market round. */
+    /**
+     * One bid or reclaim offer travelling through a market round. Its
+     * slots are the caller's list, which outlives the request (see
+     * requestPages).
+     */
     struct MarketMsg
     {
         bool isBid = true;
         ClientId client = 0;
         kernel::SegmentId seg = kernel::kInvalidSegment;
-        std::vector<kernel::PageIndex> slots;
+        std::span<const kernel::PageIndex> slots;
         Constraint constraint;
     };
 

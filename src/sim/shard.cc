@@ -116,8 +116,7 @@ ShardedSimulation::ShardedSimulation(unsigned shards,
 ShardedSimulation::~ShardedSimulation() = default;
 
 void
-ShardedSimulation::postErased(unsigned dst, SimTime when,
-                              std::function<void()> fn)
+ShardedSimulation::postErased(unsigned dst, SimTime when, Call fn)
 {
     if (dst >= shards_.size())
         throw SimPanic("post() to unknown shard");
@@ -151,13 +150,17 @@ void
 ShardedSimulation::mergeShard(unsigned s)
 {
     Shard &sh = *shards_[s];
+    const std::size_t n = shards_.size();
     if (sh.dead) {
+        // Mail to a dead shard never runs; drop it now, so its
+        // callables are destroyed and its mailboxes emptied.
+        for (std::uint32_t src : sh.mailFrom)
+            mail_[src * n + s].clear();
         sh.mailFrom.clear();
         shardMin_[s] = Simulation::kNoEvent;
         return;
     }
     sh.inbox.clear();
-    const std::size_t n = shards_.size();
     for (std::uint32_t src : sh.mailFrom) {
         std::vector<Mail> &box = mail_[src * n + s];
         for (Mail &m : box)

@@ -83,7 +83,9 @@ class SampleStats
 /**
  * Stores all samples to answer percentile queries exactly. Response-time
  * distributions in the study are small enough (tens of thousands of
- * transactions) that this is the right tool.
+ * transactions) that this is the right tool. A percentile query selects
+ * its two order statistics in place rather than sorting, so it may
+ * reorder the stored samples.
  */
 class Distribution
 {
@@ -93,7 +95,6 @@ class Distribution
     {
         samples_.push_back(x);
         stats_.add(x);
-        sorted_ = false;
     }
 
     std::uint64_t count() const { return stats_.count(); }
@@ -102,23 +103,30 @@ class Distribution
     double max() const { return stats_.max(); }
     double stddev() const { return stats_.stddev(); }
 
-    /** Exact p-quantile, p in [0, 1]. */
+    /**
+     * Exact p-quantile, p in [0, 1]: the sorted samples at lo and lo + 1
+     * interpolated, found by selection. The sample at lo is the lo-th
+     * order statistic and the minimum above it the next one, so the
+     * result equals a sort's bit for bit.
+     */
     double
     percentile(double p) const
     {
         if (samples_.empty())
             return 0.0;
-        if (!sorted_) {
-            std::sort(samples_.begin(), samples_.end());
-            sorted_ = true;
-        }
         double idx = p * (samples_.size() - 1);
         std::size_t lo = static_cast<std::size_t>(idx);
-        std::size_t hi = std::min(lo + 1, samples_.size() - 1);
+        const auto at = samples_.begin() + lo;
+        std::nth_element(samples_.begin(), at, samples_.end());
+        const double next =
+            at + 1 == samples_.end() ? *at
+                                     : *std::min_element(at + 1,
+                                                         samples_.end());
         double frac = idx - lo;
-        return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+        return *at * (1.0 - frac) + next * frac;
     }
 
+    /** The samples, in recorded order until a percentile query. */
     const std::vector<double> &
     samples() const
     {
@@ -126,7 +134,7 @@ class Distribution
     }
 
     /**
-     * Append another distribution's samples in their recorded order.
+     * Append another distribution's samples in their stored order.
      * Merging per-shard distributions in shard-index order keeps
      * percentiles and means bit-identical at any worker count.
      */
@@ -136,7 +144,6 @@ class Distribution
         samples_.insert(samples_.end(), o.samples_.begin(),
                         o.samples_.end());
         stats_.merge(o.stats_);
-        sorted_ = false;
     }
 
     void
@@ -144,12 +151,10 @@ class Distribution
     {
         samples_.clear();
         stats_.reset();
-        sorted_ = false;
     }
 
   private:
     mutable std::vector<double> samples_;
-    mutable bool sorted_ = false;
     SampleStats stats_;
 };
 

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/kernel.h"
@@ -24,6 +26,7 @@
 #include "inject/inject.h"
 #include "managers/generic.h"
 #include "managers/spcm.h"
+#include "sim/mem_accounting.h"
 #include "sim/random.h"
 #include "sim/shard.h"
 
@@ -524,6 +527,60 @@ TEST(PerCpuFaultQueue, SameInstantTouchesShareOneBatch)
     EXPECT_TRUE(kern.checkFrameInvariant(&why)) << why;
 }
 
+/** A generic manager that records the page order of every batch. */
+class BatchOrderManager : public mgr::GenericSegmentManager
+{
+  public:
+    using GenericSegmentManager::GenericSegmentManager;
+
+    sim::Task<>
+    handleFaults(Kernel &k, std::span<const Fault> fs) override
+    {
+        auto &pages = batches.emplace_back();
+        for (const Fault &f : fs)
+            pages.push_back(f.page);
+        co_await GenericSegmentManager::handleFaults(k, fs);
+    }
+
+    std::vector<std::vector<PageIndex>> batches;
+};
+
+TEST(PerCpuFaultQueue, DrainVisitsCpusInIdOrderAcrossMaskWords)
+{
+    // 130 CPUs span three words of the parked-CPU mask. Each faults on
+    // its own page, and they park in descending id order; the batch
+    // must still reach the manager in ascending CPU order.
+    constexpr unsigned kCpus = 130;
+    hw::MachineConfig m = smallMachine();
+    m.faultCoalescing = true;
+    sim::Simulation s;
+    Kernel kern(s, m);
+    mgr::SystemPageCacheManager spcm(kern, std::nullopt);
+    BatchOrderManager manager(kern, "m", hw::ManagerMode::SameProcess,
+                              &spcm, 1);
+    manager.initNow(512, 256);
+    SegmentId seg = kern.createSegmentNow("heap", 4096, kCpus, 1,
+                                          &manager);
+    kern.configureCpus(kCpus, false);
+    std::vector<std::unique_ptr<Process>> procs;
+    std::vector<sim::Task<>> touches;
+    for (unsigned c = kCpus; c-- > 0;) {
+        procs.push_back(std::make_unique<Process>(
+            "cpu" + std::to_string(c), 1));
+        touches.push_back(kern.touchOnCpu(c, *procs.back(), seg, c,
+                                          AccessType::Write));
+    }
+    runTask(s, sim::joinAll(s, std::move(touches)));
+
+    std::vector<PageIndex> ascending(kCpus);
+    for (unsigned c = 0; c < kCpus; ++c)
+        ascending[c] = c;
+    ASSERT_EQ(manager.batches.size(), 1u);
+    EXPECT_EQ(manager.batches[0], ascending);
+    EXPECT_EQ(kern.stats().cpuTouchesQueued, kCpus);
+    EXPECT_EQ(kern.stats().cpuDrains, 1u);
+}
+
 TEST(PerCpuFaultQueue, UnknownCpuThrows)
 {
     sim::Simulation s;
@@ -600,6 +657,35 @@ TEST(SharedKernelDeterminism, IdenticalAcrossWorkerCounts)
     EXPECT_GT(w1.crossRpcs, 0u);
     EXPECT_EQ(w1.touches, w1.localHits + w1.kernelTrips);
     EXPECT_EQ(w1.crossEvents, 2 * w1.crossRpcs);
+}
+
+TEST(SharedKernelAllocation, SteadyStateKernelTripsAllocateNothing)
+{
+    if (!sim::mem::hooksActive())
+        GTEST_SKIP() << "heap accounting compiled out";
+    // One seed at two durations: set-up costs the same in both, so the
+    // difference is what the extra kernel trips allocated. A hit runs
+    // no coroutine and a trip allocates no mail, no CPU queue and no
+    // frame once the pools are warm; what is left is the growth of
+    // per-CPU latency lists.
+    auto run = [](double sec) {
+        db::SharedKernelParams p = tinyStudy(1);
+        p.durationSec = sec;
+        const std::uint64_t a0 = sim::mem::threadAllocations();
+        const db::SharedKernelResult r = db::runSharedKernelStudy(p);
+        return std::pair{sim::mem::threadAllocations() - a0,
+                         r.kernelTrips};
+    };
+    (void)run(0.05); // warm the thread's pools
+    const auto [shortAllocs, shortTrips] = run(0.1);
+    const auto [longAllocs, longTrips] = run(0.4);
+    ASSERT_GT(longTrips, shortTrips + 1000);
+    const double perTrip =
+        static_cast<double>(longAllocs - shortAllocs) /
+        static_cast<double>(longTrips - shortTrips);
+    EXPECT_LT(perTrip, 0.05)
+        << longAllocs - shortAllocs << " allocations for "
+        << longTrips - shortTrips << " extra kernel trips";
 }
 
 TEST(SharedKernelClamp, ExtraWorkersWarnOnStderrAndClamp)

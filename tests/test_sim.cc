@@ -932,5 +932,55 @@ TEST(Stats, DistributionPercentiles)
     EXPECT_DOUBLE_EQ(d.max(), 100.0);
 }
 
+/** The p-quantile as a full sort gives it. */
+double
+sortedPercentile(std::vector<double> v, double p)
+{
+    std::sort(v.begin(), v.end());
+    double idx = p * (v.size() - 1);
+    std::size_t lo = static_cast<std::size_t>(idx);
+    std::size_t hi = std::min(lo + 1, v.size() - 1);
+    double frac = idx - lo;
+    return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(Stats, PercentilesBySelectionEqualASortsExactly)
+{
+    // Shuffled samples with many duplicates, queried out of order and
+    // again after more samples and a merge: each answer must equal the
+    // sorted reference bit for bit.
+    Random rng(7);
+    std::vector<double> ref;
+    Distribution d;
+    auto addSome = [&](Distribution &to, int n) {
+        for (int i = 0; i < n; ++i) {
+            const double v =
+                static_cast<double>(rng.below(300)) / 8.0 - 5.0;
+            to.add(v);
+            ref.push_back(v);
+        }
+    };
+    const double ps[] = {0.99, 0.1, 0.5, 1.0, 0.0, 0.999, 0.25,
+                         0.75, 0.9, 0.01, 0.5, 0.333};
+    auto expectAll = [&] {
+        for (double p : ps)
+            EXPECT_EQ(d.percentile(p), sortedPercentile(ref, p))
+                << "p " << p << " n " << ref.size();
+    };
+    addSome(d, 1);
+    expectAll();
+    addSome(d, 1);
+    expectAll();
+    addSome(d, 2001);
+    expectAll();
+    Distribution more;
+    addSome(more, 999);
+    (void)more.percentile(0.7);
+    d.merge(more);
+    addSome(d, 17);
+    expectAll();
+    EXPECT_EQ(d.count(), ref.size());
+}
+
 } // namespace
 } // namespace vpp::sim
