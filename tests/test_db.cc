@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <tuple>
 #include <vector>
 
 #include "core/kernel.h" // runTask
 #include "db/lock.h"
 #include "db/study.h"
+#include "sim/resource.h"
 
 namespace vpp::db {
 namespace {
@@ -329,6 +331,117 @@ TEST(HierarchicalLock, PageLockLivesUntilItsLastWaiterUnlocks)
     std::vector<std::pair<int, sim::SimTime>> expect = {
         {1, msec(0)}, {2, msec(10)}, {3, msec(20)}, {4, msec(30)}};
     EXPECT_EQ(grants, expect);
+}
+
+// ----------------------------------------------------------------------
+// Events of a transaction step: a grant that completes at once runs no
+// event, and a queued request's wake is one event at the release
+// ----------------------------------------------------------------------
+
+TEST(DbTxnEvents, UncontendedStepRunsOneEvent)
+{
+    sim::Simulation s;
+    sim::CpuPool cpus(s, 1);
+    HierarchicalLockManager locks(s, 1);
+    bool done = false;
+    s.spawn([](sim::CpuPool &c, HierarchicalLockManager &lk,
+               bool &d) -> sim::Task<> {
+        co_await lk.lockRelation(0, LockMode::IX);
+        co_await lk.lockPage(0, 7, LockMode::X);
+        co_await c.acquire();
+        co_await c.compute(sim::usec(5));
+        c.release();
+        lk.unlockPage(0, 7, LockMode::X);
+        lk.unlockRelation(0, LockMode::IX);
+        d = true;
+    }(cpus, locks, done));
+    s.run();
+    EXPECT_TRUE(done);
+    // The compute delay's wake is the only event.
+    EXPECT_EQ(s.eventsRun(), 1u);
+    EXPECT_EQ(s.now(), sim::usec(5));
+    EXPECT_EQ(cpus.busyTime(), sim::usec(5));
+    EXPECT_EQ(cpus.waitTime(), 0);
+    EXPECT_EQ(cpus.acquisitions(), 1u);
+    EXPECT_EQ(cpus.idle(), 1);
+    EXPECT_EQ(locks.relation(0).waits(), 0u);
+    EXPECT_EQ(locks.livePageLocks(), 0u);
+}
+
+TEST(DbTxnEvents, ContendedPageWakeIsOneEventAtTheRelease)
+{
+    // An X holder for 10 ms, then S, S and X requests that all queue
+    // at t=0. Each grant records the events run so far: the holder's
+    // release wakes both S waiters, in arrival order, with one event
+    // each at 10 ms; the second S release wakes the X waiter with one
+    // event at 20 ms.
+    sim::Simulation s;
+    HierarchicalLockManager locks(s, 1);
+    struct Grant
+    {
+        int id;
+        sim::SimTime at;
+        std::uint64_t events;
+        bool operator==(const Grant &) const = default;
+    };
+    std::vector<Grant> grants;
+
+    auto txn = [](sim::Simulation &sim, HierarchicalLockManager &lk,
+                  std::vector<Grant> &g, LockMode m,
+                  int id) -> sim::Task<> {
+        co_await lk.lockPage(0, 42, m);
+        g.push_back({id, sim.now(), sim.eventsRun()});
+        co_await sim.delay(msec(10));
+        lk.unlockPage(0, 42, m);
+    };
+    s.spawn(txn(s, locks, grants, LockMode::X, 0));
+    s.spawn(txn(s, locks, grants, LockMode::S, 1));
+    s.spawn(txn(s, locks, grants, LockMode::S, 2));
+    s.spawn(txn(s, locks, grants, LockMode::X, 3));
+    EXPECT_EQ(grants.size(), 1u);
+    EXPECT_EQ(s.eventsRun(), 0u);
+
+    s.run();
+    const std::vector<Grant> expect = {{0, msec(0), 0},
+                                       {1, msec(10), 2},
+                                       {2, msec(10), 3},
+                                       {3, msec(20), 6}};
+    EXPECT_EQ(grants, expect);
+    // Four hold delays and three wakes.
+    EXPECT_EQ(s.eventsRun(), 7u);
+    EXPECT_EQ(s.now(), msec(30));
+    EXPECT_EQ(locks.livePageLocks(), 0u);
+}
+
+TEST(HierarchicalLock, ParkedWaiterSurvivesTeardownInEitherOrder)
+{
+    // A request parked in a page lock's queue when the run ends: the
+    // engine destroys its frame, and the lock manager must not touch
+    // that frame whether it goes first or last.
+    for (bool simFirst : {true, false}) {
+        auto s = std::make_unique<sim::Simulation>();
+        auto locks = std::make_unique<HierarchicalLockManager>(*s, 1);
+        int granted = 0;
+        auto txn = [](HierarchicalLockManager &lk,
+                      int &g) -> sim::Task<> {
+            co_await lk.lockRelation(0, LockMode::IX);
+            co_await lk.lockPage(0, 42, LockMode::X);
+            ++g;
+        };
+        s->spawn(txn(*locks, granted));
+        s->spawn(txn(*locks, granted));
+        s->run();
+        EXPECT_EQ(granted, 1);
+        EXPECT_EQ(s->liveTasks(), 1);
+        EXPECT_EQ(locks->livePageLocks(), 1u);
+        if (simFirst) {
+            s.reset();
+            locks.reset();
+        } else {
+            locks.reset();
+            s.reset();
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
