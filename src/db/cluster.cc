@@ -1,5 +1,6 @@
 #include "db/cluster.h"
 
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -42,8 +43,8 @@ struct Node
     sim::CpuPool cpus;
     HierarchicalLockManager locks;
     sim::Random rng;
-    sim::Distribution resp;       ///< every txn homed here (ms)
-    sim::Distribution remoteResp; ///< the remote-branch subset (ms)
+    sim::Distribution resp;      ///< every txn homed here (ms)
+    sim::SampleStats remoteResp; ///< the remote-branch subset (ms)
     std::uint64_t arrived = 0;
 };
 
@@ -198,8 +199,12 @@ runClusterStudy(const ClusterParams &params)
     r.totalCpus = params.cpusPerNode *
                   static_cast<int>(params.nodes);
 
+    std::size_t samples = 0;
+    for (auto &n : cluster->nodes)
+        samples += n->resp.count();
     sim::Distribution all;
-    sim::Distribution remote;
+    all.reserve(samples);
+    sim::SampleStats remote;
     sim::Duration busy = 0;
     sim::Duration lockWait = 0;
     for (auto &n : cluster->nodes) {

@@ -44,24 +44,25 @@ MultiModeLock::compatibleWithHolders(LockMode m) const
 bool
 MultiModeLock::tryAcquire(LockMode m)
 {
-    if (waiting() == 0 && compatibleWithHolders(m)) {
+    if (waiting_ == 0 && compatibleWithHolders(m)) {
         ++held_[static_cast<int>(m)];
         return true;
     }
     return false;
 }
 
-sim::Task<>
-MultiModeLock::acquire(LockMode m)
+void
+MultiModeLock::park(Acquire &a, std::coroutine_handle<> h)
 {
-    if (tryAcquire(m))
-        co_return;
     ++waits_;
-    if (!queue_)
-        queue_ = std::make_unique<std::deque<Waiter>>();
-    queue_->push_back(Waiter{m, sim::Promise<>(*sim_), sim_->now()});
-    auto fut = queue_->back().wake.future();
-    co_await fut;
+    ++waiting_;
+    a.since_ = sim_->now();
+    a.wake_ = h;
+    if (tail_)
+        tail_->next_ = &a;
+    else
+        head_ = &a;
+    tail_ = &a;
 }
 
 void
@@ -80,14 +81,17 @@ void
 MultiModeLock::drainQueue()
 {
     // Grant from the front while the next waiter is compatible; stop
-    // at the first incompatible one (FIFO fairness).
-    while (waiting() != 0 &&
-           compatibleWithHolders(queue_->front().mode)) {
-        Waiter w = std::move(queue_->front());
-        queue_->pop_front();
-        ++held_[static_cast<int>(w.mode)];
-        waitTime_ += sim_->now() - w.since;
-        w.wake.setValue();
+    // at the first incompatible one (FIFO fairness). A granted entry
+    // stays valid until the wake scheduled here resumes its frame.
+    while (head_ && compatibleWithHolders(head_->mode_)) {
+        Acquire &w = *head_;
+        head_ = w.next_;
+        if (!head_)
+            tail_ = nullptr;
+        --waiting_;
+        ++held_[static_cast<int>(w.mode_)];
+        waitTime_ += sim_->now() - w.since_;
+        sim_->scheduleResume(sim_->now(), w.wake_);
     }
 }
 
@@ -100,10 +104,10 @@ HierarchicalLockManager::HierarchicalLockManager(sim::Simulation &s,
         relations_.push_back(std::make_unique<MultiModeLock>(s));
 }
 
-sim::Task<>
+MultiModeLock::Acquire
 HierarchicalLockManager::lockRelation(int rel, LockMode m)
 {
-    co_await relations_.at(rel)->acquire(m);
+    return relations_.at(rel)->acquire(m);
 }
 
 void
@@ -112,13 +116,12 @@ HierarchicalLockManager::unlockRelation(int rel, LockMode m)
     relations_.at(rel)->release(m);
 }
 
-sim::Task<>
+MultiModeLock::Acquire
 HierarchicalLockManager::lockPage(int rel, std::uint64_t page,
                                   LockMode m)
 {
-    MultiModeLock &lock =
-        pages_.try_emplace(PageKey{rel, page}, *sim_).first->second;
-    co_await lock.acquire(m);
+    return pages_.try_emplace(PageKey{rel, page}, *sim_)
+        .first->second.acquire(m);
 }
 
 void

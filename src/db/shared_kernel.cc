@@ -1,5 +1,6 @@
 #include "db/shared_kernel.h"
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <utility>
@@ -291,7 +292,11 @@ runSharedKernelStudy(const SharedKernelParams &params)
     r.totalCpus =
         params.cpusPerShard * static_cast<int>(params.shards);
 
+    std::size_t samples = 0;
+    for (auto &cpu : w->cpus)
+        samples += cpu->resp.count();
     sim::Distribution all;
+    all.reserve(samples);
     sim::Duration busy = 0;
     for (auto &cpu : w->cpus) {
         all.merge(cpu->resp);

@@ -239,6 +239,7 @@ runDbStudy(DbConfig config, const DbParams &params)
     DbResult r;
     r.config = dbConfigName(config);
     sim::Distribution all;
+    all.reserve(study->dcResp.count() + study->joinResp.count());
     for (double v : study->dcResp.samples())
         all.add(v);
     for (double v : study->joinResp.samples())

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -96,6 +97,9 @@ class Distribution
         samples_.push_back(x);
         stats_.add(x);
     }
+
+    /** Make room for @p n samples in all, so a merge copies once. */
+    void reserve(std::size_t n) { samples_.reserve(n); }
 
     std::uint64_t count() const { return stats_.count(); }
     double mean() const { return stats_.mean(); }

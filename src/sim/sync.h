@@ -186,33 +186,35 @@ class Semaphore
         : sim_(&sim), count_(initial)
     {}
 
-    auto
-    acquire()
+    /**
+     * acquire()'s awaiter: takes a permit without suspending if one is
+     * free, else queues the awaiting coroutine until release() hands
+     * it one.
+     */
+    struct Acquire
     {
-        struct Awaiter
+        bool
+        await_ready()
         {
-            bool
-            await_ready()
-            {
-                if (s->count_ > 0) {
-                    --s->count_;
-                    return true;
-                }
-                return false;
+            if (s->count_ > 0) {
+                --s->count_;
+                return true;
             }
+            return false;
+        }
 
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                s->waiters_.push_back(h);
-            }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            s->waiters_.push_back(h);
+        }
 
-            void await_resume() const noexcept {}
+        void await_resume() const noexcept {}
 
-            Semaphore *s;
-        };
-        return Awaiter{this};
-    }
+        Semaphore *s;
+    };
+
+    [[nodiscard]] Acquire acquire() { return Acquire{this}; }
 
     bool
     tryAcquire()
@@ -246,17 +248,17 @@ class Semaphore
     std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/** Mutual exclusion built on Semaphore; use with ScopedLock. */
+/**
+ * Mutual exclusion built on Semaphore. lock() is the semaphore's own
+ * awaiter, so taking a free mutex builds no coroutine frame and a
+ * contended one queues the awaiting coroutine itself.
+ */
 class SimMutex
 {
   public:
     explicit SimMutex(Simulation &sim) : sem_(sim, 1) {}
 
-    Task<>
-    lock()
-    {
-        co_await sem_.acquire();
-    }
+    [[nodiscard]] Semaphore::Acquire lock() { return sem_.acquire(); }
 
     void unlock() { sem_.release(); }
 
