@@ -88,7 +88,6 @@ benchPolicy()
     pol.maxRedeliveries = 3;
     pol.retryBackoff = sim::msec(1);
     pol.failover = true;
-    pol.reclaimOnFailover = true;
     return pol;
 }
 

@@ -56,8 +56,7 @@ Kernel::Kernel(sim::Simulation &s, const hw::MachineConfig &config)
             PageEntry{f, flag::kReadable | flag::kWritable};
         frames_[f] = FrameOwner{kPhysSegment, f, kSystemUser};
     }
-    byId_.push_back(phys.get());
-    segments_[kPhysSegment] = std::move(phys);
+    segments_.push_back(std::move(phys));
     segEpochs_.push_back(1); // phys segment's mutation epoch
     nextSegment_ = 1;
     if (config_.modelTlb)
@@ -74,7 +73,7 @@ Kernel::throwBadSegment(SegmentId s)
 bool
 Kernel::segmentExists(SegmentId s) const
 {
-    return s < byId_.size() && byId_[s] != nullptr;
+    return s < segments_.size() && segments_[s] != nullptr;
 }
 
 Segment &
@@ -129,11 +128,10 @@ Kernel::createSegmentNow(std::string name, std::uint32_t page_size,
     auto seg = std::make_unique<Segment>(id, std::move(name), page_size,
                                          page_limit, owner);
     seg->setManager(mgr);
-    if (id >= byId_.size())
-        byId_.resize(id + 1, nullptr);
+    if (id >= segments_.size())
+        segments_.resize(id + 1);
     if (id >= segEpochs_.size())
         segEpochs_.resize(id + 1, 1);
-    byId_[id] = seg.get();
     segments_[id] = std::move(seg);
     ++stats_.segmentsCreated;
     return id;
@@ -545,8 +543,7 @@ Kernel::destroySegment(SegmentId seg)
     sweepToPhysSegment(s);
     for (const auto &b : s.bindings())
         --bindRefs_[b.target];
-    byId_[seg] = nullptr;
-    segments_.erase(seg);
+    segments_[seg].reset();
     bindRefs_.erase(seg);
     ++stats_.segmentsDestroyed;
     // The epoch slot outlives the segment: stale per-CPU chains
@@ -1045,8 +1042,7 @@ Kernel::deliverBatch(SegmentManager *mgr, FaultBatch faults,
         // all future ones.
         ++stats_.failovers;
         mgr->noteFailover();
-        if (resilience_.reclaimOnFailover)
-            stats_.framesReclaimed += reclaimUnresponsive(mgr);
+        stats_.framesReclaimed += reclaimUnresponsive(mgr);
         for (const Fault &f : faults)
             setSegmentManagerNow(f.segment, defaultMgr_);
         mgr = defaultMgr_;
@@ -1138,7 +1134,7 @@ Kernel::faultResolved(const Fault &f)
 {
     if (!segmentExists(f.segment))
         return true; // segment gone: nothing left to resolve
-    const PageEntry *e = byId_[f.segment]->findPage(f.page);
+    const PageEntry *e = segments_[f.segment]->findPage(f.page);
     if (!e) {
         // A protection fault's page can vanish underneath the fault
         // (failover reclaims the manager's clean frames, and a clock
@@ -1167,8 +1163,8 @@ Kernel::reclaimUnresponsive(SegmentManager *mgr)
 {
     Segment &phys = segmentOrThrow(kPhysSegment);
     std::uint64_t reclaimed = 0;
-    for (auto &[sid, seg] : segments_) {
-        if (sid == kPhysSegment || seg->manager() != mgr)
+    for (const auto &seg : segments_) {
+        if (!seg || seg->id() == kPhysSegment || seg->manager() != mgr)
             continue;
         const std::uint32_t fpp = framesPerPage(*seg);
         std::vector<PageIndex> victims;
@@ -1191,7 +1187,7 @@ Kernel::reclaimUnresponsive(SegmentManager *mgr)
             reclaimed += fpp;
         }
         if (!victims.empty())
-            bumpSegEpoch(sid);
+            bumpSegEpoch(seg->id());
     }
     if (reclaimed)
         bumpSegEpoch(kPhysSegment);
@@ -1410,7 +1406,10 @@ bool
 Kernel::checkFrameInvariant(std::string *why) const
 {
     std::vector<std::uint8_t> seen(frames_.size(), 0);
-    for (const auto &[sid, seg] : segments_) {
+    for (const auto &seg : segments_) {
+        if (!seg)
+            continue;
+        const SegmentId sid = seg->id();
         const std::uint32_t fpp =
             seg->pageSize() / memory_.frameSize();
         for (const auto &[page, entry] : seg->pages()) {

@@ -66,8 +66,7 @@ struct ResiliencePolicy
     sim::Duration faultDeadline = sim::msec(50);
     int maxRedeliveries = 3;
     sim::Duration retryBackoff = sim::usec(500); ///< doubles per retry
-    bool failover = true;          ///< reassign to the default manager
-    bool reclaimOnFailover = true; ///< sweep clean frames to phys pool
+    bool failover = true; ///< reassign, reclaiming clean frames first
 };
 
 class Kernel
@@ -515,24 +514,23 @@ class Kernel
     void sweepToPhysSegment(Segment &seg);
 
     /**
-     * O(1) segment lookup: `byId_` is a dense id -> Segment* index
-     * maintained alongside the ownership map (ids are sequential).
-     * The fault hot path resolves segments several times per fault;
-     * the std::map walk was a measurable fraction of it.
+     * O(1) segment lookup in the table indexed by id (ids are
+     * sequential). The fault hot path resolves segments several times
+     * per fault.
      */
     Segment &
     segmentOrThrow(SegmentId s)
     {
-        if (s < byId_.size() && byId_[s]) [[likely]]
-            return *byId_[s];
+        if (s < segments_.size() && segments_[s]) [[likely]]
+            return *segments_[s];
         throwBadSegment(s);
     }
 
     const Segment &
     segmentOrThrow(SegmentId s) const
     {
-        if (s < byId_.size() && byId_[s]) [[likely]]
-            return *byId_[s];
+        if (s < segments_.size() && segments_[s]) [[likely]]
+            return *segments_[s];
         throwBadSegment(s);
     }
 
@@ -555,8 +553,9 @@ class Kernel
     hw::MachineConfig config_;
     hw::PhysicalMemory memory_;
     SegmentId nextSegment_ = 0;
-    std::map<SegmentId, std::unique_ptr<Segment>> segments_;
-    std::vector<Segment *> byId_; ///< dense id index over segments_
+    /// Every segment, indexed by id; a destroyed segment's slot is
+    /// null. Iterating it visits live segments in ascending id order.
+    std::vector<std::unique_ptr<Segment>> segments_;
     std::map<SegmentId, int> bindRefs_; ///< # regions targeting a segment
     std::vector<FrameOwner> frames_;
     std::map<SegmentManager *, std::unique_ptr<sim::SimMutex>> mgrLocks_;

@@ -44,25 +44,11 @@ MultiModeLock::compatibleWithHolders(LockMode m) const
 bool
 MultiModeLock::tryAcquire(LockMode m)
 {
-    if (waiting_ == 0 && compatibleWithHolders(m)) {
+    if (waiters_.empty() && compatibleWithHolders(m)) {
         ++held_[static_cast<int>(m)];
         return true;
     }
     return false;
-}
-
-void
-MultiModeLock::park(Acquire &a, std::coroutine_handle<> h)
-{
-    ++waits_;
-    ++waiting_;
-    a.since_ = sim_->now();
-    a.wake_ = h;
-    if (tail_)
-        tail_->next_ = &a;
-    else
-        head_ = &a;
-    tail_ = &a;
 }
 
 void
@@ -83,15 +69,13 @@ MultiModeLock::drainQueue()
     // Grant from the front while the next waiter is compatible; stop
     // at the first incompatible one (FIFO fairness). A granted entry
     // stays valid until the wake scheduled here resumes its frame.
-    while (head_ && compatibleWithHolders(head_->mode_)) {
-        Acquire &w = *head_;
-        head_ = w.next_;
-        if (!head_)
-            tail_ = nullptr;
-        --waiting_;
+    while (!waiters_.empty()) {
+        auto &w = static_cast<Acquire &>(waiters_.front());
+        if (!compatibleWithHolders(w.mode_))
+            break;
         ++held_[static_cast<int>(w.mode_)];
         waitTime_ += sim_->now() - w.since_;
-        sim_->scheduleResume(sim_->now(), w.wake_);
+        waiters_.wakeFront(*sim_);
     }
 }
 

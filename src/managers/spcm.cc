@@ -170,6 +170,29 @@ SystemPageCacheManager::noteBidOutcome(ClientId c, std::uint64_t want,
     }
 }
 
+std::uint64_t
+SystemPageCacheManager::installFrames(
+    const Client &client, kernel::SegmentId seg,
+    std::span<const kernel::PageIndex> slots,
+    const std::vector<hw::FrameId> &frames)
+{
+    std::uint64_t zero_bytes = 0;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        std::uint32_t set = kReadable | kWritable;
+        kernel::UserId last = kern_->frameOwner(frames[i]).lastUser;
+        if (last != client.account.uid && last != kernel::kSystemUser)
+            set |= kZeroFill; // security: crossed a user boundary
+        std::uint64_t zeroed = 0;
+        kern_->migratePagesNow(kernel::kPhysSegment, seg, frames[i],
+                               slots[i], 1, set,
+                               kernel::flag::kDirty |
+                                   kernel::flag::kReferenced,
+                               &zeroed);
+        zero_bytes += zeroed;
+    }
+    return zero_bytes;
+}
+
 sim::Task<std::uint64_t>
 SystemPageCacheManager::doGrant(const MarketMsg &m, bool &charge_base)
 {
@@ -219,23 +242,8 @@ SystemPageCacheManager::doGrant(const MarketMsg &m, bool &charge_base)
             static_cast<sim::Duration>(frames.size()) *
                 (kern_->config().cost.migratePerPage +
                  kern_->config().cost.mapInstall));
-        std::uint64_t zero_bytes = 0;
-        for (std::size_t i = 0; i < frames.size(); ++i) {
-            std::uint32_t set = kReadable | kWritable;
-            kernel::UserId last =
-                kern_->frameOwner(frames[i]).lastUser;
-            if (last != client.account.uid &&
-                last != kernel::kSystemUser) {
-                set |= kZeroFill; // security: crossed a user boundary
-            }
-            std::uint64_t zeroed = 0;
-            kern_->migratePagesNow(kernel::kPhysSegment, m.seg,
-                                   frames[i], m.slots[i], 1, set,
-                                   kernel::flag::kDirty |
-                                       kernel::flag::kReferenced,
-                                   &zeroed);
-            zero_bytes += zeroed;
-        }
+        const std::uint64_t zero_bytes =
+            installFrames(client, m.seg, m.slots, frames);
         if (zero_bytes)
             co_await kern_->chargeZero(zero_bytes);
         client.account.bytesHeld +=
@@ -291,22 +299,12 @@ SystemPageCacheManager::stormSweep(std::uint64_t frames)
     std::size_t n = clients_.size();
     if (n == 0)
         co_return;
+    // Thundering-herd cap: sweep only `fan` clients per storm, round
+    // robin, so one storm does not serialise the entire tenant set.
+    // Uncapped, fan == n and the cursor stays at 0.
     std::size_t fan = (pf.stormClients == 0 || pf.stormClients >= n)
                           ? n
                           : pf.stormClients;
-    if (fan == n) {
-        for (std::size_t k = 0; k < n; ++k) {
-            Client &cl = clients_[k];
-            if (cl.reclaim) {
-                reclaimTarget_ = static_cast<ClientId>(k);
-                co_await cl.reclaim(frames);
-                reclaimTarget_ = static_cast<ClientId>(-1);
-            }
-        }
-        co_return;
-    }
-    // Thundering-herd cap: sweep only `fan` clients per storm, round
-    // robin, so one storm does not serialise the entire tenant set.
     for (std::size_t k = 0; k < fan; ++k) {
         std::size_t idx = (stormCursor_ + k) % n;
         Client &cl = clients_[idx];
@@ -500,19 +498,7 @@ SystemPageCacheManager::grantNow(
         kern_->segment(dst_seg).pageSize();
     std::vector<hw::FrameId> frames =
         pickFrames(c, slots.size(), constraint);
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-        std::uint32_t set = kReadable | kWritable;
-        kernel::UserId last =
-            kern_->frameOwner(frames[i]).lastUser;
-        if (last != client.account.uid &&
-            last != kernel::kSystemUser) {
-            set |= kZeroFill;
-        }
-        kern_->migratePagesNow(kernel::kPhysSegment, dst_seg,
-                               frames[i], slots[i], 1, set,
-                               kernel::flag::kDirty |
-                                   kernel::flag::kReferenced);
-    }
+    installFrames(client, dst_seg, slots, frames);
     client.account.bytesHeld +=
         frames.size() * static_cast<std::uint64_t>(page_size);
     return frames.size();

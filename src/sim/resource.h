@@ -8,6 +8,10 @@
  * (I/O, lock wait, page fault). acquire() and compute() return plain
  * awaiters, not tasks: taking an idle CPU builds no coroutine frame
  * and runs no event, and a wait or a compute span costs one event.
+ * A waiting process parks on the pool's semaphore, whose wait list
+ * (sync.h) allocates nothing. Holds are released explicitly, never
+ * from a destructor: a frame destroyed at teardown must not signal the
+ * pool (see sync.h).
  */
 
 #ifndef VPP_SIM_RESOURCE_H
@@ -15,7 +19,6 @@
 
 #include "sim/simulation.h"
 #include "sim/sync.h"
-#include "sim/task.h"
 #include "sim/time.h"
 
 namespace vpp::sim {
@@ -90,45 +93,6 @@ class CpuPool
     Duration busyTime_ = 0;
     Duration waitTime_ = 0;
     std::uint64_t acquisitions_ = 0;
-};
-
-/** RAII helper: holds a CPU from the pool for a coroutine scope. */
-class CpuGuard
-{
-  public:
-    explicit CpuGuard(CpuPool &pool) : pool_(&pool) {}
-
-    CpuGuard(const CpuGuard &) = delete;
-    CpuGuard &operator=(const CpuGuard &) = delete;
-
-    ~CpuGuard()
-    {
-        if (held_)
-            pool_->release();
-    }
-
-    Task<>
-    acquire()
-    {
-        co_await pool_->acquire();
-        held_ = true;
-    }
-
-    /** Release the CPU early (e.g. before blocking on a lock). */
-    void
-    release()
-    {
-        if (held_) {
-            pool_->release();
-            held_ = false;
-        }
-    }
-
-    bool held() const { return held_; }
-
-  private:
-    CpuPool *pool_;
-    bool held_ = false;
 };
 
 } // namespace vpp::sim

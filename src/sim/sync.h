@@ -6,12 +6,21 @@
  * deterministic, so there is no data-race concern, only ordering. Every
  * resumption goes through the event queue at the current timestamp so
  * that wakeup order is FIFO and independent of who calls notify.
+ *
+ * Every blocking primitive (Semaphore, Condition, Future and the
+ * database's MultiModeLock) queues its parked coroutines on one
+ * detail::WaitList, linked through their awaiters, so a wait allocates
+ * nothing. A WaitList never owns or destroys a frame and reads a node
+ * only to wake it; a frame destroyed while parked (the engine's
+ * teardown) leaves its node behind, so nothing may signal a primitive
+ * from a destructor.
  */
 
 #ifndef VPP_SIM_SYNC_H
 #define VPP_SIM_SYNC_H
 
 #include <coroutine>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -27,39 +36,75 @@ namespace vpp::sim {
 namespace detail {
 
 /**
- * Waiter bookkeeping shared by both FutureState specialisations. The
- * overwhelmingly common case is a single awaiter, which lives in an
- * inline slot; only a second concurrent awaiter touches the heap.
- * Wakeup order stays FIFO: the inline slot is always the first to
- * have suspended and is always resumed first.
+ * A coroutine parked on a WaitList. Each awaiter that can suspend
+ * derives from Waiter and, while its coroutine waits, lives in that
+ * coroutine's frame as its own queue node.
  */
+struct Waiter
+{
+    std::coroutine_handle<> handle;
+    Waiter *next = nullptr;
+};
+
+/** FIFO of parked Waiters, linked through the waiters themselves. */
+class WaitList
+{
+  public:
+    bool empty() const noexcept { return !head_; }
+    std::size_t size() const noexcept { return size_; }
+
+    /** The longest-parked waiter; the list must not be empty. */
+    Waiter &front() const noexcept { return *head_; }
+
+    /** Park @p w, whose coroutine @p h is suspending, at the back. */
+    void
+    push(Waiter &w, std::coroutine_handle<> h) noexcept
+    {
+        w.handle = h;
+        w.next = nullptr;
+        if (tail_)
+            tail_->next = &w;
+        else
+            head_ = &w;
+        tail_ = &w;
+        ++size_;
+    }
+
+    /**
+     * Unlink the front waiter and schedule its resumption at the
+     * current instant. The node stays valid until that event resumes
+     * its frame.
+     */
+    void
+    wakeFront(Simulation &sim)
+    {
+        Waiter &w = *head_;
+        head_ = w.next;
+        if (!head_)
+            tail_ = nullptr;
+        --size_;
+        sim.scheduleResume(sim.now(), w.handle);
+    }
+
+  private:
+    Waiter *head_ = nullptr;
+    Waiter *tail_ = nullptr;
+    std::size_t size_ = 0;
+};
+
+/** Readiness and waiters shared by both FutureState specialisations. */
 struct FutureWaiters
 {
     Simulation *sim;
     bool ready = false;
-    std::coroutine_handle<> first = nullptr;
-    std::vector<std::coroutine_handle<>> rest;
-
-    void
-    add(std::coroutine_handle<> h)
-    {
-        if (!first)
-            first = h;
-        else
-            rest.push_back(h);
-    }
+    WaitList waiters;
 
     void
     fire()
     {
         ready = true;
-        if (first) {
-            sim->scheduleResume(sim->now(), first);
-            first = nullptr;
-        }
-        for (auto h : rest)
-            sim->scheduleResume(sim->now(), h);
-        rest.clear();
+        while (!waiters.empty())
+            waiters.wakeFront(*sim);
     }
 };
 
@@ -99,14 +144,14 @@ class Future
     auto
     operator co_await() const
     {
-        struct Awaiter
+        struct Awaiter : detail::Waiter
         {
             bool await_ready() const { return st->ready; }
 
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                st->add(h);
+                st->waiters.push(*this, h);
             }
 
             T
@@ -122,7 +167,7 @@ class Future
         };
         if (!state_)
             throw SimPanic("await on invalid Future");
-        return Awaiter{state_};
+        return Awaiter{{}, state_};
     }
 
   private:
@@ -191,22 +236,14 @@ class Semaphore
      * free, else queues the awaiting coroutine until release() hands
      * it one.
      */
-    struct Acquire
+    struct Acquire : detail::Waiter
     {
-        bool
-        await_ready()
-        {
-            if (s->count_ > 0) {
-                --s->count_;
-                return true;
-            }
-            return false;
-        }
+        bool await_ready() { return s->tryAcquire(); }
 
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            s->waiters_.push_back(h);
+            s->waiters_.push(*this, h);
         }
 
         void await_resume() const noexcept {}
@@ -214,7 +251,7 @@ class Semaphore
         Semaphore *s;
     };
 
-    [[nodiscard]] Acquire acquire() { return Acquire{this}; }
+    [[nodiscard]] Acquire acquire() { return Acquire{{}, this}; }
 
     bool
     tryAcquire()
@@ -229,14 +266,11 @@ class Semaphore
     void
     release()
     {
-        if (!waiters_.empty()) {
-            auto h = waiters_.front();
-            waiters_.pop_front();
-            // The permit is handed directly to the waiter.
-            sim_->scheduleResume(sim_->now(), h);
-        } else {
+        // The permit is handed directly to the waiter.
+        if (!waiters_.empty())
+            waiters_.wakeFront(*sim_);
+        else
             ++count_;
-        }
     }
 
     int available() const { return count_; }
@@ -245,7 +279,7 @@ class Semaphore
   private:
     Simulation *sim_;
     int count_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    detail::WaitList waiters_;
 };
 
 /**
@@ -279,31 +313,28 @@ class Condition
     auto
     wait()
     {
-        struct Awaiter
+        struct Awaiter : detail::Waiter
         {
             bool await_ready() const noexcept { return false; }
 
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                c->waiters_.push_back(h);
+                c->waiters_.push(*this, h);
             }
 
             void await_resume() const noexcept {}
 
             Condition *c;
         };
-        return Awaiter{this};
+        return Awaiter{{}, this};
     }
 
     void
     notifyOne()
     {
-        if (!waiters_.empty()) {
-            auto h = waiters_.front();
-            waiters_.pop_front();
-            sim_->scheduleResume(sim_->now(), h);
-        }
+        if (!waiters_.empty())
+            waiters_.wakeFront(*sim_);
     }
 
     void
@@ -317,7 +348,7 @@ class Condition
 
   private:
     Simulation *sim_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    detail::WaitList waiters_;
 };
 
 /**

@@ -7,6 +7,10 @@
  * processes (applications, segment managers, the file server, database
  * transactions) are written as ordinary coroutines that co_await delays,
  * futures and other tasks; the Simulation event loop drives them.
+ *
+ * Task is one template for every T, void included: the only part of its
+ * promise that depends on T, how the result reaches the awaiter, is
+ * detail::TaskResult<T>.
  */
 
 #ifndef VPP_SIM_TASK_H
@@ -22,9 +26,6 @@
 #include <vector>
 
 namespace vpp::sim {
-
-template <typename T>
-class Task;
 
 namespace detail {
 
@@ -219,6 +220,37 @@ class PromiseBase : public PooledFrame
     std::exception_ptr error;
 };
 
+/**
+ * The one part of a promise that depends on T: how the result reaches
+ * the awaiter. A value waits in the promise until take() moves it out.
+ */
+template <typename T>
+struct TaskResult
+{
+    template <typename U>
+    void
+    return_value(U &&v)
+    {
+        value.emplace(std::forward<U>(v));
+    }
+
+    T
+    take()
+    {
+        assert(value.has_value());
+        return std::move(*value);
+    }
+
+    std::optional<T> value;
+};
+
+template <>
+struct TaskResult<void>
+{
+    void return_void() noexcept {}
+    void take() noexcept {}
+};
+
 } // namespace detail
 
 /**
@@ -236,7 +268,8 @@ template <typename T = void>
 class Task
 {
   public:
-    class promise_type : public detail::PromiseBase
+    class promise_type : public detail::PromiseBase,
+                         public detail::TaskResult<T>
     {
       public:
         Task
@@ -251,15 +284,6 @@ class Task
         {
             return FinalAwaiter{this};
         }
-
-        template <typename U>
-        void
-        return_value(U &&v)
-        {
-            value.emplace(std::forward<U>(v));
-        }
-
-        std::optional<T> value;
     };
 
     Task() noexcept = default;
@@ -309,116 +333,12 @@ class Task
                 auto &p = h.promise();
                 if (p.error)
                     std::rethrow_exception(p.error);
-                assert(p.value.has_value());
-                return std::move(*p.value);
+                return p.take();
             }
 
             std::coroutine_handle<promise_type> h;
         };
         return Awaiter{handle_};
-    }
-
-    /** Release ownership of the coroutine frame to the caller. */
-    std::coroutine_handle<promise_type>
-    release() noexcept
-    {
-        return std::exchange(handle_, nullptr);
-    }
-
-  private:
-    void
-    destroy()
-    {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
-
-    std::coroutine_handle<promise_type> handle_;
-};
-
-/** Specialisation for tasks that return nothing. */
-template <>
-class Task<void>
-{
-  public:
-    class promise_type : public detail::PromiseBase
-    {
-      public:
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        FinalAwaiter
-        final_suspend() noexcept
-        {
-            return FinalAwaiter{this};
-        }
-
-        void return_void() noexcept {}
-    };
-
-    Task() noexcept = default;
-
-    explicit Task(std::coroutine_handle<promise_type> h) noexcept
-        : handle_(h)
-    {}
-
-    Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
-
-    Task &
-    operator=(Task &&o) noexcept
-    {
-        if (this != &o) {
-            destroy();
-            handle_ = std::exchange(o.handle_, nullptr);
-        }
-        return *this;
-    }
-
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-
-    ~Task() { destroy(); }
-
-    bool valid() const noexcept { return handle_ != nullptr; }
-    bool done() const noexcept { return handle_ && handle_.done(); }
-
-    auto
-    operator co_await() &&
-    {
-        struct Awaiter
-        {
-            bool await_ready() const noexcept { return !h || h.done(); }
-
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<> awaiting) noexcept
-            {
-                h.promise().continuation = awaiting;
-                return h;
-            }
-
-            void
-            await_resume()
-            {
-                auto &p = h.promise();
-                if (p.error)
-                    std::rethrow_exception(p.error);
-            }
-
-            std::coroutine_handle<promise_type> h;
-        };
-        return Awaiter{handle_};
-    }
-
-    std::coroutine_handle<promise_type>
-    release() noexcept
-    {
-        return std::exchange(handle_, nullptr);
     }
 
   private:

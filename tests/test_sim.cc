@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "sim/mem_accounting.h"
 #include "sim/random.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
@@ -806,22 +807,84 @@ TEST(CpuPool, SixJobsOnTwoCpus)
     EXPECT_EQ(pool.acquisitions(), 6u);
 }
 
-TEST(CpuGuard, ReleasesOnScopeExit)
+TEST(SyncAllocation, QueuedWaitsAllocateNothing)
 {
+    // A wait parks the awaiter itself on the primitive's wait list, so
+    // steady queueing on a warm semaphore costs no global heap.
+    if (!mem::hooksActive())
+        GTEST_SKIP() << "heap accounting compiled out";
     Simulation s;
-    CpuPool pool(s, 1);
-    s.spawn([](Simulation &sim, CpuPool &p) -> Task<> {
-        {
-            CpuGuard g(p);
-            co_await g.acquire();
-            co_await sim.delay(10);
+    Semaphore sem(s, 1);
+    auto spawnWorkers = [&s, &sem](int rounds) {
+        for (int i = 0; i < 200; ++i) {
+            s.spawn([](Simulation &sim, Semaphore &sm, int n) -> Task<> {
+                for (int k = 0; k < n; ++k) {
+                    co_await sm.acquire();
+                    co_await sim.delay(1);
+                    sm.release();
+                }
+            }(s, sem, rounds));
         }
-        // Guard released; a second acquire must not deadlock.
-        CpuGuard g2(p);
-        co_await g2.acquire();
-    }(s, pool));
+    };
+    spawnWorkers(2); // warm the frame pool and the engine's queues
     s.run();
-    EXPECT_EQ(pool.idle(), 1);
+    const std::uint64_t a0 = mem::threadAllocations();
+    spawnWorkers(1000);
+    s.run();
+    EXPECT_EQ(mem::threadAllocations() - a0, 0u);
+    EXPECT_EQ(s.now(), 2 * 200 + 1000 * 200);
+    EXPECT_EQ(sem.available(), 1);
+}
+
+TEST(SyncTeardown, ParkedWaitersSurviveTeardownInEitherOrder)
+{
+    // Coroutines parked on each primitive when the run ends: the engine
+    // destroys their frames, and no primitive may touch those frames
+    // whether it goes first or last.
+    for (bool simFirst : {true, false}) {
+        auto s = std::make_unique<Simulation>();
+        auto sem = std::make_unique<Semaphore>(*s, 0);
+        auto cond = std::make_unique<Condition>(*s);
+        auto promise = std::make_unique<Promise<int>>(*s);
+        auto pool = std::make_unique<CpuPool>(*s, 1);
+        int woke = 0;
+        for (int i = 0; i < 2; ++i) {
+            s->spawn([](Semaphore &sm, int &w) -> Task<> {
+                co_await sm.acquire();
+                ++w;
+            }(*sem, woke));
+            s->spawn([](Condition &c, int &w) -> Task<> {
+                co_await c.wait();
+                ++w;
+            }(*cond, woke));
+            s->spawn([](Future<int> f, int &w) -> Task<> {
+                w += co_await f;
+            }(promise->future(), woke));
+            // The first takes the only CPU and keeps it.
+            s->spawn([](CpuPool &p) -> Task<> {
+                co_await p.acquire();
+            }(*pool));
+        }
+        s->run();
+        EXPECT_EQ(woke, 0);
+        EXPECT_EQ(s->liveTasks(), 7);
+        EXPECT_EQ(sem->waiting(), 2);
+        EXPECT_EQ(cond->waiting(), 2);
+        EXPECT_EQ(pool->queued(), 1);
+        auto dropPrimitives = [&] {
+            sem.reset();
+            cond.reset();
+            promise.reset();
+            pool.reset();
+        };
+        if (simFirst) {
+            s.reset();
+            dropPrimitives();
+        } else {
+            dropPrimitives();
+            s.reset();
+        }
+    }
 }
 
 TEST(Random, Determinism)
