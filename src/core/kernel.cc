@@ -473,37 +473,85 @@ Kernel::unbindRegion(SegmentId seg, PageIndex at)
     unbindRegionNow(seg, at);
 }
 
-sim::Task<std::uint64_t>
+Kernel::Migrate
 Kernel::migratePages(SegmentId src, SegmentId dst, PageIndex src_page,
                      PageIndex dst_page, std::uint64_t pages,
                      std::uint32_t set_flags, std::uint32_t clear_flags)
 {
     ++stats_.migrateCalls;
-    co_await sim_->delay(
-        config_.cost.migrateBase +
-        static_cast<sim::Duration>(pages) *
-            (config_.cost.migratePerPage + config_.cost.mapInstall));
-    std::uint64_t zeroed = 0;
-    std::uint64_t ndst = migratePagesNow(src, dst, src_page, dst_page,
-                                         pages, set_flags, clear_flags,
-                                         &zeroed);
-    if (zeroed)
-        co_await chargeZero(zeroed);
-    co_return ndst;
+    Migrate m;
+    m.k_ = this;
+    m.src_ = src;
+    m.dst_ = dst;
+    m.srcPage_ = src_page;
+    m.dstPage_ = dst_page;
+    m.pages_ = pages;
+    m.set_ = set_flags;
+    m.clear_ = clear_flags;
+    m.wait_ = config_.cost.migrateBase +
+              static_cast<sim::Duration>(pages) *
+                  (config_.cost.migratePerPage + config_.cost.mapInstall);
+    return m;
 }
 
-sim::Task<std::uint64_t>
+bool
+Kernel::Migrate::await_ready()
+{
+    if (wait_ > 0)
+        return false;
+    move();
+    return zeroWait_ <= 0;
+}
+
+void
+Kernel::Migrate::await_suspend(std::coroutine_handle<> h)
+{
+    sim::Simulation &s = *k_->sim_;
+    if (wait_ <= 0) {
+        // Moved in await_ready; only the zero-fill charge is left.
+        s.scheduleResume(s.now() + zeroWait_, h);
+        return;
+    }
+    handle_ = h;
+    s.schedule(s.now() + wait_, [this] { finish(); });
+}
+
+void
+Kernel::Migrate::move()
+{
+    std::uint64_t zeroed = 0;
+    moved_ = k_->migratePagesNow(src_, dst_, srcPage_, dstPage_, pages_,
+                                 set_, clear_, &zeroed);
+    if (zeroed)
+        zeroWait_ = k_->zeroTime(zeroed);
+}
+
+void
+Kernel::Migrate::finish()
+{
+    try {
+        move();
+    } catch (...) {
+        error_ = std::current_exception();
+    }
+    sim::Simulation &s = *k_->sim_;
+    if (!error_ && zeroWait_ > 0)
+        s.scheduleResume(s.now() + zeroWait_, handle_);
+    else
+        handle_.resume(); // the last use of this awaiter
+}
+
+Kernel::FlagEdit
 Kernel::modifyPageFlags(SegmentId seg, PageIndex page,
                         std::uint64_t pages, std::uint32_t set_flags,
                         std::uint32_t clear_flags)
 {
     ++stats_.modifyFlagCalls;
-    co_await sim_->delay(
-        config_.cost.modifyFlagsBase +
-        static_cast<sim::Duration>(pages) *
-            config_.cost.modifyFlagsPerPage);
-    co_return modifyPageFlagsNow(seg, page, pages, set_flags,
-                                 clear_flags);
+    return FlagEdit{
+        sim_->delay(config_.cost.modifyFlagsBase +
+                    static_cast<sim::Duration>(pages) *
+                        config_.cost.modifyFlagsPerPage),
+        this, seg, page, pages, set_flags, clear_flags};
 }
 
 sim::Task<std::vector<PageAttribute>>
@@ -785,20 +833,24 @@ Kernel::cpuMisses(unsigned cpu) const
     return cpuOrThrow(cpu).misses;
 }
 
-sim::Task<>
-Kernel::touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
-                   PageIndex page, AccessType a)
+void
+Kernel::CpuTouch::await_suspend(std::coroutine_handle<> h)
 {
-    CpuState &c = cpuOrThrow(cpu);
-    sim::Promise<> done(*sim_);
-    c.pending.push_back(PendingCpuTouch{&p, seg, page, a, done});
-    parkedCpus_[cpu / 64] |= std::uint64_t{1} << (cpu % 64);
-    ++stats_.cpuTouchesQueued;
-    if (!cpuDraining_) {
-        cpuDraining_ = true;
-        sim_->spawn(drainCpuTouches());
+    Kernel &k = *k_;
+    CpuState &c = k.cpuOrThrow(cpu_);
+    handle_ = h;
+    c.pending.push_back(this);
+    k.parkedCpus_[cpu_ / 64] |= std::uint64_t{1} << (cpu_ % 64);
+    ++k.stats_.cpuTouchesQueued;
+    if (!k.cpuDraining_) {
+        k.cpuDraining_ = true;
+        k.sim_->spawn(k.drainCpuTouches());
     }
-    co_await done.future();
+}
+
+Kernel::CpuTouch::operator sim::Task<>() &&
+{
+    return [](CpuTouch t) -> sim::Task<> { co_await t; }(std::move(*this));
 }
 
 sim::Task<>
@@ -826,8 +878,22 @@ Kernel::drainCpuTouches()
                 // its capacity and its next park allocates nothing.
                 cpuBatch_.clear();
                 cpuBatch_.swap(cpus_[w * 64 + b]->pending);
-                for (PendingCpuTouch &t : cpuBatch_)
-                    sim_->spawn(runCpuTouch(std::move(t)));
+                for (CpuTouch *t : cpuBatch_) {
+                    // The attempt runs here; only a fault or a TLB
+                    // refill needs a coroutine to finish the touch.
+                    bool done = true;
+                    sim::Task<> fault;
+                    try {
+                        done = attemptTouch(*t->p_, t->seg_, t->page_,
+                                            t->a_, fault);
+                    } catch (...) {
+                        t->error_ = std::current_exception();
+                    }
+                    if (done)
+                        sim_->scheduleResume(sim_->now(), t->handle_);
+                    else
+                        sim_->spawn(runCpuTouch(*t, std::move(fault)));
+                }
             }
         }
         if (!any)
@@ -841,14 +907,17 @@ Kernel::drainCpuTouches()
 }
 
 sim::Task<>
-Kernel::runCpuTouch(PendingCpuTouch t)
+Kernel::runCpuTouch(CpuTouch &t, sim::Task<> fault)
 {
     try {
-        co_await touchSegment(*t.proc, t.seg, t.page, t.access);
-        t.done.setValue();
+        if (fault.valid())
+            co_await std::move(fault);
+        else
+            co_await sim_->delay(config_.tlbRefill);
     } catch (...) {
-        t.done.setError(std::current_exception());
+        t.error_ = std::current_exception();
     }
+    sim_->scheduleResume(sim_->now(), t.handle_);
 }
 
 sim::SimMutex &
@@ -874,65 +943,6 @@ Kernel::crossToManager(SegmentManager *mgr, sim::Duration pre, Body body)
     const ipc::CallCost call = ipc::CallCost::fromMachine(config_);
     return ipc::cross(*sim_, &managerLock(mgr), pre + call.send,
                       call.reply + c.trapExit, std::move(body));
-}
-
-sim::Task<>
-Kernel::deliverFault(Fault f)
-{
-    ++stats_.faults;
-    switch (f.type) {
-      case FaultType::MissingPage: ++stats_.missingFaults; break;
-      case FaultType::Protection: ++stats_.protectionFaults; break;
-      case FaultType::CopyOnWrite: ++stats_.cowFaults; break;
-    }
-    if (f.process)
-        f.process->noteFault();
-
-    Segment &fseg = segmentOrThrow(f.segment);
-    SegmentManager *mgr = fseg.manager();
-    if (!mgr) {
-        throw KernelError(KernelErrc::NoManager,
-                          "segment " + std::to_string(f.segment) + " (" +
-                              fseg.name() + ") has no manager");
-    }
-
-    const sim::SimTime fault_start = sim_->now();
-    const auto &c = config_.cost;
-
-    if (config_.faultCoalescing) {
-        // Each faulting thread pays its own trap entry, then parks on
-        // the manager's queue; the drain charges faultDispatch once
-        // per batch.
-        co_await sim_->delay(c.trapEnter);
-        co_await enqueueCoalesced(mgr, f);
-    } else {
-        // Inline: a batch of one, with no spawn and no yield.
-        co_await sim_->delay(c.trapEnter + c.faultDispatch);
-        co_await deliverBatch(mgr, FaultBatch(1, f), 0);
-    }
-
-    // Copy-on-write: the kernel performs the copy after the manager
-    // has allocated a page (§2.1).
-    if (f.type == FaultType::CopyOnWrite) {
-        Segment &cow_seg = segmentOrThrow(f.segment);
-        PageEntry *dst = cow_seg.findPage(f.page);
-        if (dst) {
-            const Segment &src_seg = segmentOrThrow(f.cowSource);
-            const PageEntry *src = src_seg.findPage(f.cowSourcePage);
-            if (src) {
-                const std::uint32_t fpp = framesPerPage(cow_seg);
-                memory_.copyRange(dst->frame, src->frame, fpp);
-                co_await chargeCopy(cow_seg.pageSize());
-                dst->flags |= flag::kReadable | flag::kWritable |
-                              flag::kDirty;
-            }
-        }
-    }
-
-    const sim::Duration fault_latency = sim_->now() - fault_start;
-    stats_.faultLatencyTotal += fault_latency;
-    if (fault_latency > stats_.faultLatencyMax)
-        stats_.faultLatencyMax = fault_latency;
 }
 
 sim::Task<>
@@ -1203,69 +1213,170 @@ Kernel::notifyClosed(SegmentManager *mgr, SegmentId seg)
         mgr, 0, [&] { return mgr->segmentClosed(*this, seg); });
 }
 
-sim::Task<>
-Kernel::touchSegment(Process &p, SegmentId seg, PageIndex page,
-                     AccessType a)
+Kernel::TouchStep
+Kernel::touchStep(Resolution &r, SegmentId seg, PageIndex page,
+                  AccessType a)
 {
-    for (int attempt = 0; attempt < kMaxFaultRetries; ++attempt) {
-        Resolution r = resolve(seg, page);
-        const std::uint32_t need =
-            a == AccessType::Write ? flag::kWritable : flag::kReadable;
+    if (!r.present)
+        return TouchStep::Fault;
+    const std::uint32_t need =
+        a == AccessType::Write ? flag::kWritable : flag::kReadable;
+    if (!(r.regionProt & need)) {
+        // The mapping itself forbids this access: not a
+        // manager-resolvable fault but an access violation.
+        throw KernelError(KernelErrc::Permission, "region protection");
+    }
+    if ((a == AccessType::Write && r.viaCow) || !(r.entry->flags & need))
+        return TouchStep::Fault;
+    r.entry->flags |= flag::kReferenced;
+    if (a == AccessType::Write)
+        r.entry->flags |= flag::kDirty;
+    // Simple TLB misses are handled by the kernel (§2.1): a refill
+    // costs a short in-kernel excursion, no manager involvement.
+    if (tlb_ && !tlb_->access(seg, page)) {
+        ++stats_.tlbMisses;
+        return TouchStep::Refill;
+    }
+    return TouchStep::Hit;
+}
 
-        if (r.present) {
-            if (!(r.regionProt & need)) {
-                // The mapping itself forbids this access: not a
-                // manager-resolvable fault but an access violation.
-                throw KernelError(KernelErrc::Permission,
-                                  "region protection");
-            }
-            const bool cow_write =
-                a == AccessType::Write && r.viaCow;
-            if (!cow_write && (r.entry->flags & need)) {
-                r.entry->flags |= flag::kReferenced;
-                if (a == AccessType::Write)
-                    r.entry->flags |= flag::kDirty;
-                // Simple TLB misses are handled by the kernel (§2.1):
-                // a refill costs a short in-kernel excursion, no
-                // manager involvement.
-                if (tlb_ && !tlb_->access(seg, page)) {
-                    ++stats_.tlbMisses;
-                    co_await sim_->delay(config_.tlbRefill);
-                }
-                co_return;
-            }
-
-            Fault f;
-            f.access = a;
-            f.process = &p;
-            f.vaSegment = seg;
-            f.vaPage = page;
-            if (cow_write && (r.entry->flags & flag::kReadable)) {
-                f.type = FaultType::CopyOnWrite;
-                f.segment = r.cowSeg;
-                f.page = r.cowPage;
-                f.cowSource = r.seg;
-                f.cowSourcePage = r.page;
-            } else {
-                // Insufficient page protection (possibly the source of
-                // a copy-on-write chain that is itself protected).
-                f.type = FaultType::Protection;
-                f.segment = r.seg;
-                f.page = r.page;
-            }
-            co_await deliverFault(f);
-            continue;
-        }
-
-        Fault f;
+Fault
+Kernel::faultFor(const Resolution &r, Process &p, SegmentId seg,
+                 PageIndex page, AccessType a) const
+{
+    Fault f;
+    f.access = a;
+    f.process = &p;
+    f.vaSegment = seg;
+    f.vaPage = page;
+    if (!r.present) {
         f.type = FaultType::MissingPage;
-        f.access = a;
-        f.process = &p;
         f.segment = r.seg;
         f.page = r.page;
-        f.vaSegment = seg;
-        f.vaPage = page;
-        co_await deliverFault(f);
+    } else if (a == AccessType::Write && r.viaCow &&
+               (r.entry->flags & flag::kReadable)) {
+        f.type = FaultType::CopyOnWrite;
+        f.segment = r.cowSeg;
+        f.page = r.cowPage;
+        f.cowSource = r.seg;
+        f.cowSourcePage = r.page;
+    } else {
+        // Insufficient page protection (possibly the source of a
+        // copy-on-write chain that is itself protected).
+        f.type = FaultType::Protection;
+        f.segment = r.seg;
+        f.page = r.page;
+    }
+    return f;
+}
+
+bool
+Kernel::attemptTouch(Process &p, SegmentId seg, PageIndex page,
+                     AccessType a, sim::Task<> &fault)
+{
+    Resolution r = resolve(seg, page);
+    switch (touchStep(r, seg, page, a)) {
+      case TouchStep::Hit:
+        return true;
+      case TouchStep::Refill:
+        return config_.tlbRefill <= 0;
+      case TouchStep::Fault:
+        break;
+    }
+    fault = faultLoop(faultFor(r, p, seg, page, a));
+    return false;
+}
+
+std::coroutine_handle<>
+Kernel::Touch::await_suspend(std::coroutine_handle<> h)
+{
+    if (fault_.valid())
+        return sim::Task<>::Awaiter(fault_).await_suspend(h);
+    sim::Simulation &s = *k_->sim_;
+    s.scheduleResume(s.now() + k_->config_.tlbRefill, h);
+    return std::noop_coroutine();
+}
+
+Kernel::Touch::operator sim::Task<>() &&
+{
+    return [](Touch t) -> sim::Task<> { co_await t; }(std::move(*this));
+}
+
+sim::Task<>
+Kernel::faultLoop(Fault f)
+{
+    Process &p = *f.process;
+    const SegmentId seg = f.vaSegment;
+    const PageIndex page = f.vaPage;
+    const AccessType a = f.access;
+    for (int delivered = 1;; ++delivered) {
+        ++stats_.faults;
+        switch (f.type) {
+          case FaultType::MissingPage: ++stats_.missingFaults; break;
+          case FaultType::Protection: ++stats_.protectionFaults; break;
+          case FaultType::CopyOnWrite: ++stats_.cowFaults; break;
+        }
+        p.noteFault();
+
+        Segment &fseg = segmentOrThrow(f.segment);
+        SegmentManager *mgr = fseg.manager();
+        if (!mgr) {
+            throw KernelError(KernelErrc::NoManager,
+                              "segment " + std::to_string(f.segment) +
+                                  " (" + fseg.name() + ") has no manager");
+        }
+
+        const sim::SimTime fault_start = sim_->now();
+        const auto &c = config_.cost;
+
+        if (config_.faultCoalescing) {
+            // Each faulting thread pays its own trap entry, then parks
+            // on the manager's queue; the drain charges faultDispatch
+            // once per batch.
+            co_await sim_->delay(c.trapEnter);
+            co_await enqueueCoalesced(mgr, f);
+        } else {
+            // Inline: a batch of one, with no spawn and no yield.
+            co_await sim_->delay(c.trapEnter + c.faultDispatch);
+            co_await deliverBatch(mgr, FaultBatch(1, f), 0);
+        }
+
+        // Copy-on-write: the kernel performs the copy after the manager
+        // has allocated a page (§2.1).
+        if (f.type == FaultType::CopyOnWrite) {
+            Segment &cow_seg = segmentOrThrow(f.segment);
+            PageEntry *dst = cow_seg.findPage(f.page);
+            if (dst) {
+                const Segment &src_seg = segmentOrThrow(f.cowSource);
+                const PageEntry *src = src_seg.findPage(f.cowSourcePage);
+                if (src) {
+                    const std::uint32_t fpp = framesPerPage(cow_seg);
+                    memory_.copyRange(dst->frame, src->frame, fpp);
+                    co_await chargeCopy(cow_seg.pageSize());
+                    dst->flags |= flag::kReadable | flag::kWritable |
+                                  flag::kDirty;
+                }
+            }
+        }
+
+        const sim::Duration fault_latency = sim_->now() - fault_start;
+        stats_.faultLatencyTotal += fault_latency;
+        if (fault_latency > stats_.faultLatencyMax)
+            stats_.faultLatencyMax = fault_latency;
+
+        if (delivered == kMaxFaultRetries)
+            break;
+        Resolution r = resolve(seg, page);
+        switch (touchStep(r, seg, page, a)) {
+          case TouchStep::Hit:
+            co_return;
+          case TouchStep::Refill:
+            co_await sim_->delay(config_.tlbRefill);
+            co_return;
+          case TouchStep::Fault:
+            f = faultFor(r, p, seg, page, a);
+            break;
+        }
     }
     throw KernelError(KernelErrc::FaultLoop,
                       "fault on segment " + std::to_string(seg) +
@@ -1380,22 +1491,6 @@ Kernel::copyOut(Process &p, std::uint64_t vaddr, std::span<std::byte> out)
         done += n;
     }
     co_await chargeCopy(out.size());
-}
-
-sim::Task<>
-Kernel::chargeCopy(std::uint64_t bytes)
-{
-    stats_.bytesCopied += bytes;
-    co_await sim_->delay(static_cast<sim::Duration>(
-        static_cast<double>(config_.cost.copyPerKB) * bytes / 1024.0));
-}
-
-sim::Task<>
-Kernel::chargeZero(std::uint64_t bytes)
-{
-    co_await sim_->delay(static_cast<sim::Duration>(
-        static_cast<double>(config_.cost.pageZeroPerKB) * bytes /
-        1024.0));
 }
 
 // ----------------------------------------------------------------------

@@ -10,21 +10,28 @@
  * managers. Page reclamation, writeback and allocation policy all live
  * in process-level managers (src/managers, src/appmgr).
  *
- * Every public operation is a coroutine that charges its control-path
- * cost from the machine's CostModel before doing the functional work;
- * `...Now` variants perform the same work in zero simulated time and
- * exist for setup code and tests.
+ * Every public operation charges its control-path cost from the
+ * machine's CostModel before doing the functional work; `...Now`
+ * variants perform the same work in zero simulated time and exist for
+ * setup code and tests. Operations that only charge one delay, and the
+ * memory reference path, are plain awaiters rather than coroutines: a
+ * resident touch builds no coroutine frame, and only a fault starts one
+ * (DESIGN.md, "A frame only where the machine waits").
  */
 
 #ifndef VPP_CORE_KERNEL_H
 #define VPP_CORE_KERNEL_H
 
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/fault.h"
@@ -72,6 +79,11 @@ struct ResiliencePolicy
 class Kernel
 {
   public:
+    class Touch;
+    class CpuTouch;
+    class Migrate;
+    struct FlagEdit;
+
     Kernel(sim::Simulation &s, const hw::MachineConfig &config);
 
     sim::Simulation &simulation() { return *sim_; }
@@ -139,17 +151,22 @@ class Kernel
 
     /**
      * MigratePages(src, dst, srcPage, dstPage, pages, sFlgs, cFlgs) —
-     * move page frames between segments, applying flag edits. Returns
-     * the number of destination pages created (differs from @p pages
-     * when the segments have different page sizes).
+     * move page frames between segments, applying flag edits. Awaiting
+     * it returns the number of destination pages created (differs from
+     * @p pages when the segments have different page sizes). Counted
+     * when called; await it at once.
      */
-    sim::Task<std::uint64_t>
+    Migrate
     migratePages(SegmentId src, SegmentId dst, PageIndex src_page,
                  PageIndex dst_page, std::uint64_t pages,
                  std::uint32_t set_flags, std::uint32_t clear_flags);
 
-    /** ModifyPageFlags — flag edits without moving frames. */
-    sim::Task<std::uint64_t>
+    /**
+     * ModifyPageFlags — flag edits without moving frames, made once
+     * the call's delay has passed. Counted when called; await it at
+     * once.
+     */
+    FlagEdit
     modifyPageFlags(SegmentId seg, PageIndex page, std::uint64_t pages,
                     std::uint32_t set_flags, std::uint32_t clear_flags);
 
@@ -164,8 +181,11 @@ class Kernel
     /** Reference a byte address through the process's address space. */
     sim::Task<> touch(Process &p, std::uint64_t vaddr, AccessType a);
 
-    /** Reference a page of a specific segment (block access path). */
-    sim::Task<>
+    /**
+     * Reference a page of a specific segment (block access path). The
+     * access is attempted when the touch is awaited (see Touch).
+     */
+    Touch
     touchSegment(Process &p, SegmentId seg, PageIndex page, AccessType a);
 
     // ------------------------------------------------------------------
@@ -191,11 +211,20 @@ class Kernel
     sim::Task<>
     copyOut(Process &p, std::uint64_t vaddr, std::span<std::byte> out);
 
-    /** Charge memory-copy time for @p bytes. */
-    sim::Task<> chargeCopy(std::uint64_t bytes);
+    /** Charge memory-copy time for @p bytes; counted when called. */
+    [[nodiscard]] sim::Simulation::DelayAwaiter
+    chargeCopy(std::uint64_t bytes)
+    {
+        stats_.bytesCopied += bytes;
+        return sim_->delay(copyTime(bytes));
+    }
 
     /** Charge zero-fill time for @p bytes. */
-    sim::Task<> chargeZero(std::uint64_t bytes);
+    [[nodiscard]] sim::Simulation::DelayAwaiter
+    chargeZero(std::uint64_t bytes)
+    {
+        return sim_->delay(zeroTime(bytes));
+    }
 
     // ------------------------------------------------------------------
     // Zero-simulated-time functional primitives
@@ -295,8 +324,8 @@ class Kernel
         std::uint64_t ioErrors = 0;        ///< DiskErrors seen by paging
         std::uint64_t ioRetries = 0;       ///< paging retries issued
 
-        // Fault-path latency (sum and max over deliverFault, entry to
-        // resolution, in simulated time). Pure accumulation: no events
+        // Fault-path latency (sum and max over delivered faults, entry
+        // to resolution, in simulated time). Pure accumulation: no events
         // are scheduled, so enabling nothing keeps runs bit-identical.
         sim::Duration faultLatencyTotal = 0;
         sim::Duration faultLatencyMax = 0;
@@ -384,16 +413,17 @@ class Kernel
     CpuResolution resolveForCpu(SegmentId seg, PageIndex page);
 
     /**
-     * Fault entry point for a CPU: parks the touch on the CPU's
-     * in-queue and marks the CPU parked; a single drain visits the
-     * parked CPUs in id order, each queue FIFO, and feeds the faults
-     * through the regular touchSegment path (and so into the
-     * coalescing/batch machinery). Same-instant faults from many CPUs
-     * therefore reach managers in one deterministic batch order
-     * regardless of how many shards raised them.
+     * Fault entry point for a CPU: awaiting it parks the touch on the
+     * CPU's in-queue and marks the CPU parked; a single drain visits
+     * the parked CPUs in id order, each queue FIFO, and makes each
+     * touch's attempt in place, starting the regular fault path (and
+     * so the coalescing/batch machinery) only for a fault. Same-instant
+     * faults from many CPUs therefore reach managers in one
+     * deterministic batch order regardless of how many shards raised
+     * them. An unknown CPU throws when the touch is awaited.
      */
-    sim::Task<> touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
-                           PageIndex page, AccessType a);
+    CpuTouch touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
+                        PageIndex page, AccessType a);
 
     std::uint64_t cpuHits(unsigned cpu) const;
     std::uint64_t cpuMisses(unsigned cpu) const;
@@ -402,7 +432,44 @@ class Kernel
     static constexpr int kMaxFaultRetries = 8;
     static constexpr int kMaxBindingDepth = 8;
 
-    sim::Task<> deliverFault(Fault f);
+    /** What one attempt at a touch found (see touchStep). */
+    enum class TouchStep : std::uint8_t
+    {
+        Hit,    ///< done
+        Refill, ///< done once the TLB refill's time has passed
+        Fault,  ///< a fault must be delivered
+    };
+
+    /**
+     * One attempt at a touch through @p r, the resolution of (seg,
+     * page), in zero simulated time. A present page whose mapping
+     * forbids the access throws Permission. A permitted resident
+     * access sets the referenced (and, for a write, dirty) flag and
+     * looks up the TLB.
+     */
+    TouchStep touchStep(Resolution &r, SegmentId seg, PageIndex page,
+                        AccessType a);
+
+    /** The fault a touch whose attempt found @p r must deliver. */
+    Fault faultFor(const Resolution &r, Process &p, SegmentId seg,
+                   PageIndex page, AccessType a) const;
+
+    /**
+     * Resolve and make one attempt at a touch. Returns true when the
+     * touch is done with no simulated time. Otherwise a fault leaves
+     * its fault loop in @p fault, and a TLB refill leaves @p fault
+     * empty.
+     */
+    bool attemptTouch(Process &p, SegmentId seg, PageIndex page,
+                      AccessType a, sim::Task<> &fault);
+
+    /**
+     * Deliver @p f and retry its touch (f.process, f.vaSegment,
+     * f.vaPage, f.access) until an attempt succeeds, delivering every
+     * fault it raises; after kMaxFaultRetries deliveries the touch
+     * throws FaultLoop.
+     */
+    sim::Task<> faultLoop(Fault f);
 
     /**
      * The faults one crossing carries. Pooled storage: a one-fault
@@ -549,6 +616,21 @@ class Kernel
 
     std::uint32_t framesPerPage(const Segment &s) const;
 
+    sim::Duration
+    copyTime(std::uint64_t bytes) const
+    {
+        return static_cast<sim::Duration>(
+            static_cast<double>(config_.cost.copyPerKB) * bytes / 1024.0);
+    }
+
+    sim::Duration
+    zeroTime(std::uint64_t bytes) const
+    {
+        return static_cast<sim::Duration>(
+            static_cast<double>(config_.cost.pageZeroPerKB) * bytes /
+            1024.0);
+    }
+
     sim::Simulation *sim_;
     hw::MachineConfig config_;
     hw::PhysicalMemory memory_;
@@ -577,27 +659,19 @@ class Kernel
 
     std::map<SegmentManager *, FaultQueue> faultQueues_;
 
-    /** A CPU touch parked on its in-queue awaiting the drain. */
-    struct PendingCpuTouch
-    {
-        Process *proc = nullptr;
-        SegmentId seg = kInvalidSegment;
-        PageIndex page = 0;
-        AccessType access = AccessType::Read;
-        sim::Promise<> done;
-    };
-
     /**
      * Everything a simulated CPU owns. During a sharded run each
      * CpuState is read and written only by its owner shard, except
-     * `pending`, which only the kernel's home shard touches.
+     * `pending`, which only the kernel's home shard touches. A parked
+     * touch is its awaiter, which lives in the waiting coroutine's
+     * frame; nothing reads it after the frame is resumed or destroyed.
      */
     struct CpuState
     {
         CpuResolveCache cache;
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
-        std::vector<PendingCpuTouch> pending;
+        std::vector<CpuTouch *> pending;
     };
 
     /** The CPU's state; unknown ids throw, as segmentOrThrow does. */
@@ -612,13 +686,19 @@ class Kernel
     [[noreturn]] static void throwBadCpu(unsigned cpu);
 
     sim::Task<> drainCpuTouches();
-    sim::Task<> runCpuTouch(PendingCpuTouch t);
+
+    /**
+     * Finish a parked touch whose attempt did not: run its fault loop
+     * @p fault, or the TLB refill when @p fault is empty, then resume
+     * the touch's coroutine.
+     */
+    sim::Task<> runCpuTouch(CpuTouch &t, sim::Task<> fault);
 
     std::vector<std::unique_ptr<CpuState>> cpus_;
     /// Bit c % 64 of word c / 64: CPU c has touches parked.
     std::vector<std::uint64_t> parkedCpus_;
     /// The drain's batch buffer, swapped with each parked queue.
-    std::vector<PendingCpuTouch> cpuBatch_;
+    std::vector<CpuTouch *> cpuBatch_;
     bool cpuSnapshotMode_ = false;
     bool cpuDraining_ = false;
 
@@ -636,8 +716,163 @@ class Kernel
     ResiliencePolicy resilience_;
     SegmentManager *defaultMgr_ = nullptr;
     inject::Engine *inject_ = nullptr;
-
 };
+
+/**
+ * touchSegment's awaiter. A resident access never enters the kernel
+ * (paper §2.1), so await_ready makes the touch's first attempt (see
+ * Kernel::touchStep) and a permitted resident access with a TLB hit
+ * completes there, with no frame and no event. A TLB refill resumes
+ * the caller once tlbRefill has passed. Only a fault starts a
+ * coroutine, the fault loop, which the awaiter owns and runs. Moved
+ * into a Task<>, it makes a task that runs the touch when awaited.
+ */
+class [[nodiscard]] Kernel::Touch
+{
+  public:
+    bool await_ready()
+    {
+        return k_->attemptTouch(*p_, seg_, page_, a_, fault_);
+    }
+
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
+
+    /** Rethrows the fault loop's error, if any. */
+    void await_resume() { sim::Task<>::Awaiter(fault_).await_resume(); }
+
+    operator sim::Task<>() &&;
+
+  private:
+    friend class Kernel;
+
+    Touch(Kernel &k, Process &p, SegmentId seg, PageIndex page,
+          AccessType a) noexcept
+        : k_(&k), p_(&p), seg_(seg), a_(a), page_(page)
+    {}
+
+    Kernel *k_;
+    Process *p_;
+    SegmentId seg_;
+    AccessType a_;
+    PageIndex page_;
+    sim::Task<> fault_; ///< the fault loop, once the attempt faulted
+};
+
+/**
+ * touchOnCpu's awaiter: it parks itself on the CPU's in-queue, and the
+ * drain resumes it with one event, the attempt made in place or a
+ * fault's or TLB refill's coroutine finished. Moved into a Task<>, it
+ * makes a task that runs the touch when awaited.
+ */
+class [[nodiscard]] Kernel::CpuTouch
+{
+  public:
+    bool await_ready() const noexcept { return false; }
+
+    void await_suspend(std::coroutine_handle<> h);
+
+    void
+    await_resume() const
+    {
+        if (error_)
+            std::rethrow_exception(error_);
+    }
+
+    operator sim::Task<>() &&;
+
+  private:
+    friend class Kernel;
+
+    CpuTouch(Kernel &k, unsigned cpu, Process &p, SegmentId seg,
+             PageIndex page, AccessType a) noexcept
+        : k_(&k), p_(&p), cpu_(cpu), seg_(seg), a_(a), page_(page)
+    {}
+
+    Kernel *k_;
+    Process *p_;
+    unsigned cpu_;
+    SegmentId seg_;
+    AccessType a_;
+    PageIndex page_;
+    std::coroutine_handle<> handle_; ///< set once parked
+    std::exception_ptr error_;       ///< what the touch threw
+};
+
+/**
+ * migratePages' awaiter: the call's delay, then the move, then, only
+ * when the move zero-filled pages, the zero-fill charge as a second
+ * event. The move runs in a scheduled callback so that the zero-fill
+ * charge can follow it; an error it throws reaches the awaiting
+ * coroutine.
+ */
+class [[nodiscard]] Kernel::Migrate
+{
+  public:
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> h);
+
+    std::uint64_t
+    await_resume() const
+    {
+        if (error_)
+            std::rethrow_exception(error_);
+        return moved_;
+    }
+
+  private:
+    friend class Kernel;
+
+    /** migratePagesNow, noting the zero-fill charge it leaves. */
+    void move();
+
+    /** The callback at the end of the delay: move, then resume. */
+    void finish();
+
+    Kernel *k_;
+    SegmentId src_;
+    SegmentId dst_;
+    PageIndex srcPage_;
+    PageIndex dstPage_;
+    std::uint64_t pages_;
+    std::uint32_t set_;
+    std::uint32_t clear_;
+    sim::Duration wait_;         ///< the call's charge
+    sim::Duration zeroWait_ = 0; ///< the zero-fill charge, once moved
+    std::uint64_t moved_ = 0;
+    std::coroutine_handle<> handle_;
+    std::exception_ptr error_;
+};
+
+/** modifyPageFlags' awaiter: the call's delay, then the edit. */
+struct [[nodiscard]] Kernel::FlagEdit : sim::Simulation::DelayAwaiter
+{
+    std::uint64_t
+    await_resume() const
+    {
+        return k->modifyPageFlagsNow(seg, page, pages, set, clear);
+    }
+
+    Kernel *k;
+    SegmentId seg;
+    PageIndex page;
+    std::uint64_t pages;
+    std::uint32_t set;
+    std::uint32_t clear;
+};
+
+inline Kernel::Touch
+Kernel::touchSegment(Process &p, SegmentId seg, PageIndex page,
+                     AccessType a)
+{
+    return Touch(*this, p, seg, page, a);
+}
+
+inline Kernel::CpuTouch
+Kernel::touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
+                   PageIndex page, AccessType a)
+{
+    return CpuTouch(*this, cpu, p, seg, page, a);
+}
 
 /**
  * Per-thread memory-market counters, following the pattern of hw's
@@ -682,6 +917,38 @@ runTask(sim::Simulation &s, sim::Task<> t)
     s.run();
     if (!done)
         throw sim::SimPanic("task did not complete");
+}
+
+/**
+ * Run an awaiter that is not a Task (a touch, a flag edit, a
+ * migration) to completion (test helper). It is awaited directly, so
+ * the helper adds no frame around it.
+ */
+template <typename A>
+    requires requires(A &a) { a.await_resume(); }
+auto
+runTask(sim::Simulation &s, A a)
+{
+    using T = decltype(a.await_resume());
+    if constexpr (std::is_void_v<T>) {
+        bool done = false;
+        s.spawn([](A aw, bool *d) -> sim::Task<> {
+            co_await aw;
+            *d = true;
+        }(std::move(a), &done));
+        s.run();
+        if (!done)
+            throw sim::SimPanic("task did not complete");
+    } else {
+        std::optional<T> out;
+        s.spawn([](A aw, std::optional<T> *o) -> sim::Task<> {
+            o->emplace(co_await aw);
+        }(std::move(a), &out));
+        s.run();
+        if (!out)
+            throw sim::SimPanic("task did not complete");
+        return std::move(*out);
+    }
 }
 
 } // namespace vpp::kernel

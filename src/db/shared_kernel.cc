@@ -1,5 +1,6 @@
 #include "db/shared_kernel.h"
 
+#include <coroutine>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -23,6 +24,28 @@ namespace vpp::db {
 namespace {
 
 struct World;
+
+/**
+ * A remote CPU's kernel trip. Its request mail carries the touch by
+ * value and a pointer to this awaiter to the kernel's home shard,
+ * which runs the touch through the CPU's queue; the reply stores the
+ * resolution in the CPU's cache and resumes the CPU, on the CPU's own
+ * shard. Only that shard reads the awaiter.
+ */
+struct RemoteTrip
+{
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+
+    World *world;
+    unsigned cpu;
+    unsigned shard;
+    kernel::SegmentId seg;
+    kernel::PageIndex page;
+    kernel::AccessType access;
+    std::coroutine_handle<> handle;
+};
 
 /** One simulated CPU: lives on shard id / cpusPerShard. */
 struct Cpu
@@ -52,11 +75,9 @@ struct World
     sim::Task<> cpuLoop(Cpu &cpu);
     bool touchCached(Cpu &cpu, kernel::SegmentId seg,
                      kernel::PageIndex page, kernel::AccessType a);
-    sim::Task<> kernelTrip(Cpu &cpu, kernel::SegmentId seg,
-                           kernel::PageIndex page, kernel::AccessType a);
     sim::Task<> serveMiss(unsigned cpu, kernel::SegmentId seg,
                           kernel::PageIndex page, kernel::AccessType a,
-                          unsigned srcShard, sim::Promise<> done);
+                          unsigned srcShard, RemoteTrip *trip);
     sim::Task<> recycler();
 
     SharedKernelParams params;
@@ -163,47 +184,38 @@ World::touchCached(Cpu &cpu, kernel::SegmentId seg,
     return false;
 }
 
-/** A touch the cache could not serve goes to the kernel. */
-sim::Task<>
-World::kernelTrip(Cpu &cpu, kernel::SegmentId seg,
-                  kernel::PageIndex page, kernel::AccessType a)
+void
+RemoteTrip::await_suspend(std::coroutine_handle<> h)
 {
-    ++cpu.kernelTrips;
-    if (cpu.shard == 0) {
-        // Home CPUs reach the kernel without an IPI hop.
-        co_await kern.touchOnCpu(cpu.id, *procs[cpu.id], seg, page, a);
-        kern.cpuStore(cpu.id, kern.resolveForCpu(seg, page));
-        co_return;
-    }
-    // Remote CPU: the miss crosses to shard 0, the kernel services it
-    // through the per-CPU queue + fault machinery, and the resolution
-    // value travels back for this shard to cache.
-    ++cpu.crossRpcs;
-    sim::Simulation &mySim = engine.shard(cpu.shard);
-    sim::Promise<> done(mySim);
-    sim::Future<> reply = done.future();
-    engine.post(0, mySim.now() + params.ipiLatency,
-                [this, c = cpu.id, seg, page, a,
-                 src = cpu.shard, done]() mutable {
-                    home.spawn(serveMiss(c, seg, page, a, src,
-                                         std::move(done)));
-                });
-    co_await reply;
+    handle = h;
+    World *w = world;
+    const sim::SimTime now = w->engine.shard(shard).now();
+    w->engine.post(0, now + w->params.ipiLatency,
+                   [w, c = cpu, s = seg, p = page, a = access,
+                    src = shard, trip = this] {
+                       w->home.spawn(w->serveMiss(c, s, p, a, src, trip));
+                   });
 }
 
+/**
+ * The home shard's half of a remote trip: the kernel services the
+ * touch through the per-CPU queue and fault machinery, and the
+ * resolution value travels back for the CPU's shard to cache.
+ */
 sim::Task<>
 World::serveMiss(unsigned cpu, kernel::SegmentId seg,
                  kernel::PageIndex page, kernel::AccessType a,
-                 unsigned srcShard, sim::Promise<> done)
+                 unsigned srcShard, RemoteTrip *trip)
 {
     co_await kern.touchOnCpu(cpu, *procs[cpu], seg, page, a);
     const kernel::CpuResolution v = kern.resolveForCpu(seg, page);
     engine.post(srcShard, home.now() + params.ipiLatency,
-                [this, cpu, v, done]() mutable {
+                [this, cpu, v, srcShard, trip] {
                     // Runs on the owning shard: it alone writes this
-                    // CPU's cache.
+                    // CPU's cache and reads the trip.
                     kern.cpuStore(cpu, v);
-                    done.setValue();
+                    sim::Simulation &s = engine.shard(srcShard);
+                    s.scheduleResume(s.now(), trip->handle);
                 });
 }
 
@@ -235,8 +247,20 @@ World::cpuLoop(Cpu &cpu)
                 cpu.rng.uniform() < p.writeFraction
                     ? kernel::AccessType::Write
                     : kernel::AccessType::Read;
-            if (!touchCached(cpu, rels[rel], page, a))
-                co_await kernelTrip(cpu, rels[rel], page, a);
+            if (touchCached(cpu, rels[rel], page, a))
+                continue;
+            // A touch the cache could not serve goes to the kernel.
+            ++cpu.kernelTrips;
+            if (cpu.shard == 0) {
+                // Home CPUs reach the kernel without an IPI hop.
+                co_await kern.touchOnCpu(cpu.id, *procs[cpu.id],
+                                         rels[rel], page, a);
+                kern.cpuStore(cpu.id, kern.resolveForCpu(rels[rel], page));
+            } else {
+                ++cpu.crossRpcs;
+                co_await RemoteTrip{this, cpu.id, cpu.shard, rels[rel],
+                                    page, a, {}};
+            }
         }
         pool.release();
         ++cpu.txns;

@@ -12,8 +12,9 @@
  * transfer (DiskError after the simulated time has elapsed, as a real
  * controller reports an error only once the operation completes) or
  * stretch it with a latency spike. The reads()/writes() counters are
- * charged when the operation is *issued*, so an aborted transfer is
- * still accounted; errors() and retries() track the failure path.
+ * charged when the operation is *issued* (after any request overhead
+ * ahead of it), so an aborted transfer is still accounted; errors()
+ * and retries() track the failure path.
  * Without an engine the timing and event sequence are exactly the
  * error-free model.
  */
@@ -93,22 +94,21 @@ class Disk
         return latency_ + sim::sec(transfer_s);
     }
 
+    /**
+     * Read @p bytes, issued once @p lead of request overhead (a file
+     * server's) has passed.
+     */
     sim::Task<>
-    read(std::uint64_t bytes)
+    read(std::uint64_t bytes, sim::Duration lead = 0)
     {
-        // Account the attempt up front: an aborted transfer still
-        // occupied the device and must show in the counters.
-        ++reads_;
-        bytesRead_ += bytes;
-        co_await io(bytes, false);
+        return io(bytes, false, lead);
     }
 
+    /** Write @p bytes, issued once @p lead has passed. */
     sim::Task<>
-    write(std::uint64_t bytes)
+    write(std::uint64_t bytes, sim::Duration lead = 0)
     {
-        ++writes_;
-        bytesWritten_ += bytes;
-        co_await io(bytes, true);
+        return io(bytes, true, lead);
     }
 
     /** A caller is about to retry a failed transfer on this disk. */
@@ -129,8 +129,18 @@ class Disk
 
   private:
     sim::Task<>
-    io(std::uint64_t bytes, bool is_write)
+    io(std::uint64_t bytes, bool is_write, sim::Duration lead)
     {
+        co_await sim_->delay(lead);
+        // Account the attempt once issued: an aborted transfer still
+        // occupied the device and must show in the counters.
+        if (is_write) {
+            ++writes_;
+            bytesWritten_ += bytes;
+        } else {
+            ++reads_;
+            bytesRead_ += bytes;
+        }
         co_await mutex_.lock();
         sim::Duration d = transferTime(bytes);
         if (inject_)

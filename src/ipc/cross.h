@@ -53,8 +53,7 @@ cross(sim::Simulation &s, sim::SimMutex *lock, sim::Duration in,
     if (lock)
         co_await lock->lock();
     try {
-        if (sim::Task<> t = body(); t.valid())
-            co_await std::move(t);
+        co_await body();
     } catch (...) {
         if (lock)
             lock->unlock();

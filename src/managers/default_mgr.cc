@@ -117,7 +117,7 @@ DefaultSegmentManager::afterFault(Kernel &k, const Fault &f)
     (void)k;
     if (!policy_->interleavedSweep())
         policy_->insert(policy::makePageId(f.segment, f.page));
-    co_return;
+    return {};
 }
 
 sim::Task<>

@@ -116,7 +116,9 @@ class GenericSegmentManager : public kernel::SegmentManager
 
   protected:
     // ------------------------------------------------------------------
-    // Specialisation hooks
+    // Specialisation hooks. A default that never suspends returns a
+    // ready task, so only an override that waits builds a coroutine
+    // frame.
     // ------------------------------------------------------------------
 
     /**
@@ -130,7 +132,7 @@ class GenericSegmentManager : public kernel::SegmentManager
     {
         (void)k;
         (void)f;
-        co_return false;
+        return sim::Task<bool>::ready(false);
     }
 
     /**
@@ -142,7 +144,7 @@ class GenericSegmentManager : public kernel::SegmentManager
     {
         (void)k;
         (void)f;
-        co_return;
+        return {};
     }
 
     /**
@@ -158,7 +160,7 @@ class GenericSegmentManager : public kernel::SegmentManager
         (void)f;
         (void)dst_page;
         (void)free_slot;
-        co_return;
+        return {};
     }
 
     /** Resolve a protection fault. Default: re-enable access. */
@@ -182,7 +184,7 @@ class GenericSegmentManager : public kernel::SegmentManager
         (void)k;
         (void)seg;
         (void)page;
-        co_return;
+        return {};
     }
 
     /**
@@ -226,20 +228,22 @@ class GenericSegmentManager : public kernel::SegmentManager
     {
         (void)k;
         (void)f;
-        co_return takeFreeRun(n);
+        return sim::Task<SlotRun>::ready(takeFreeRun(n));
     }
 
-    /** Charged MigratePages wrapper that also counts invocations. */
-    sim::Task<std::uint64_t>
+    /**
+     * Charged MigratePages wrapper that also counts invocations; it
+     * returns the kernel's awaiter, so await it at once.
+     */
+    kernel::Kernel::Migrate
     migrate(kernel::Kernel &k, kernel::SegmentId src,
             kernel::SegmentId dst, kernel::PageIndex src_page,
             kernel::PageIndex dst_page, std::uint64_t pages,
             std::uint32_t set_flags, std::uint32_t clear_flags)
     {
         ++migrates_;
-        co_return co_await k.migratePages(src, dst, src_page, dst_page,
-                                          pages, set_flags,
-                                          clear_flags);
+        return k.migratePages(src, dst, src_page, dst_page, pages,
+                              set_flags, clear_flags);
     }
 
     /**

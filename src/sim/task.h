@@ -11,6 +11,11 @@
  * Task is one template for every T, void included: the only part of its
  * promise that depends on T, how the result reaches the awaiter, is
  * detail::TaskResult<T>.
+ *
+ * A Task may also hold its result without a frame: Task<T>::ready(v),
+ * or a default Task<>, completes at once when awaited. A virtual hook
+ * whose default never suspends returns one, so only overrides that
+ * wait build a coroutine frame.
  */
 
 #ifndef VPP_SIM_TASK_H
@@ -19,9 +24,11 @@
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,9 +39,9 @@ namespace detail {
 /**
  * Thread-local size-class recycler for coroutine frames.
  *
- * The fault hot path suspends through a dozen short-lived coroutines
- * (touchSegment -> deliverFault -> handler -> hooks -> migrate), each
- * of whose frames would otherwise be a malloc/free pair. Frames are
+ * The fault hot path suspends through several short-lived coroutines
+ * (the fault loop -> crossing -> handler -> page fill), each of whose
+ * frames would otherwise be a malloc/free pair. Frames are
  * recycled through per-thread free lists bucketed by 64-byte size
  * class; each simulation — and in a sharded run each logical shard —
  * is drained by exactly one thread, so no locking is needed.
@@ -55,8 +62,10 @@ class FramePool
     allocate(std::size_t n)
     {
         const std::size_t cls = (n + kGranule - 1) >> kShift;
+        Lists &l = lists();
+        ++l.handedOut;
         if (cls < kClasses) {
-            void *&head = lists().free[cls];
+            void *&head = l.free[cls];
             if (head) {
                 void *out = head;
                 head = *static_cast<void **>(out);
@@ -82,6 +91,9 @@ class FramePool
 
     /** This thread's pool, as releaseTo() takes it. */
     static const void *owner() { return &lists(); }
+
+    /** Blocks allocate() has handed out on this thread so far. */
+    static std::uint64_t handedOut() { return lists().handedOut; }
 
     /**
      * Release a block allocate() gave out on the thread whose owner()
@@ -114,6 +126,7 @@ class FramePool
     struct Lists
     {
         void *free[kClasses] = {};
+        std::uint64_t handedOut = 0;
 
         ~Lists()
         {
@@ -254,6 +267,18 @@ struct TaskResult<void>
 } // namespace detail
 
 /**
+ * FramePool blocks handed out on this thread so far: coroutine frames,
+ * pooled vectors, future states and cross-shard mail, whether a free
+ * list or the global heap supplied them. Read it before and after the
+ * work to count, as mem::threadAllocations() is read.
+ */
+inline std::uint64_t
+threadFrameBlocks()
+{
+    return detail::FramePool::handedOut();
+}
+
+/**
  * A std::vector in FramePool storage: a short-lived one allocates
  * nothing from the global heap in steady state.
  */
@@ -261,8 +286,9 @@ template <typename T>
 using PoolVector = std::vector<T, detail::PoolAlloc<T>>;
 
 /**
- * A lazily-started coroutine returning T. Move-only; owns the coroutine
- * frame until awaited-to-completion or destroyed.
+ * A lazily-started coroutine returning T, or a result that is ready
+ * without one. Move-only; owns the coroutine frame until
+ * awaited-to-completion or destroyed.
  */
 template <typename T = void>
 class Task
@@ -286,13 +312,28 @@ class Task
         }
     };
 
+    /** A Task<> that completes at once; for other T, no result yet. */
     Task() noexcept = default;
 
     explicit Task(std::coroutine_handle<promise_type> h) noexcept
         : handle_(h)
     {}
 
-    Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
+    /** A task whose result @p v is ready: awaiting it builds no frame. */
+    template <typename U>
+    static Task
+    ready(U &&v)
+        requires(!std::is_void_v<T>)
+    {
+        Task t;
+        t.ready_.return_value(std::forward<U>(v));
+        return t;
+    }
+
+    Task(Task &&o) noexcept
+        : handle_(std::exchange(o.handle_, nullptr)),
+          ready_(std::move(o.ready_))
+    {}
 
     Task &
     operator=(Task &&o) noexcept
@@ -300,6 +341,7 @@ class Task
         if (this != &o) {
             destroy();
             handle_ = std::exchange(o.handle_, nullptr);
+            ready_ = std::move(o.ready_);
         }
         return *this;
     }
@@ -309,37 +351,49 @@ class Task
 
     ~Task() { destroy(); }
 
+    /** Whether the task has a coroutine frame. */
     bool valid() const noexcept { return handle_ != nullptr; }
     bool done() const noexcept { return handle_ && handle_.done(); }
 
-    /** Awaiting a task starts it and suspends until it completes. */
-    auto
-    operator co_await() &&
+    /**
+     * Starts the task and suspends until it completes; a task without
+     * a frame completes at once. An awaiter that runs a task as its
+     * slow path may drive one over the task it owns.
+     */
+    class Awaiter
     {
-        struct Awaiter
+      public:
+        explicit Awaiter(Task &t) noexcept : t_(&t) {}
+
+        bool
+        await_ready() const noexcept
         {
-            bool await_ready() const noexcept { return !h || h.done(); }
+            return !t_->handle_ || t_->handle_.done();
+        }
 
-            std::coroutine_handle<>
-            await_suspend(std::coroutine_handle<> awaiting) noexcept
-            {
-                h.promise().continuation = awaiting;
-                return h;
-            }
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<> awaiting) noexcept
+        {
+            t_->handle_.promise().continuation = awaiting;
+            return t_->handle_;
+        }
 
-            T
-            await_resume()
-            {
-                auto &p = h.promise();
-                if (p.error)
-                    std::rethrow_exception(p.error);
-                return p.take();
-            }
+        T
+        await_resume()
+        {
+            if (!t_->handle_)
+                return t_->ready_.take();
+            auto &p = t_->handle_.promise();
+            if (p.error)
+                std::rethrow_exception(p.error);
+            return p.take();
+        }
 
-            std::coroutine_handle<promise_type> h;
-        };
-        return Awaiter{handle_};
-    }
+      private:
+        Task *t_;
+    };
+
+    Awaiter operator co_await() && noexcept { return Awaiter(*this); }
 
   private:
     void
@@ -352,7 +406,12 @@ class Task
     }
 
     std::coroutine_handle<promise_type> handle_;
+    /// The result of a task without a frame; empty for Task<>, which
+    /// so stays one pointer wide.
+    [[no_unique_address]] detail::TaskResult<T> ready_;
 };
+
+static_assert(sizeof(Task<>) == sizeof(void *));
 
 } // namespace vpp::sim
 

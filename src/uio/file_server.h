@@ -82,16 +82,14 @@ class FileServer
     sim::Task<>
     chargeRead(std::uint64_t bytes)
     {
-        co_await sim_->delay(requestOverhead_);
-        co_await disk_->read(bytes);
+        return disk_->read(bytes, requestOverhead_);
     }
 
     /** The simulated cost of a server write, without the data. */
     sim::Task<>
     chargeWrite(std::uint64_t bytes)
     {
-        co_await sim_->delay(requestOverhead_);
-        co_await disk_->write(bytes);
+        return disk_->write(bytes, requestOverhead_);
     }
 
     /** Functional read with no simulated time (setup, verification). */

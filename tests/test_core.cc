@@ -488,6 +488,29 @@ TEST_F(KernelTest, RegionProtectionViolationIsHardError)
         KernelError);
 }
 
+TEST_F(KernelTest, RegionProtectionViolationThrowsPermission)
+{
+    // A write through a read-only region to a resident page is an
+    // access violation found by the touch's first attempt: Permission,
+    // with no fault delivered, no time charged and no flag set.
+    SegmentId file = freeSegment(4, "file");
+    SegmentId va = kern.createSegmentNow("va", 4096, 4, kSystemUser);
+    kern.bindRegionNow(va, 0, 4, file, 0, flag::kReadable);
+    kern.modifyPageFlagsNow(file, 1, 1, 0, flag::kReferenced);
+    Process p("app", 1);
+    try {
+        runTask(s, kern.touchSegment(p, va, 1, AccessType::Write));
+        ADD_FAILURE() << "the write did not throw";
+    } catch (const KernelError &e) {
+        EXPECT_EQ(e.code(), KernelErrc::Permission);
+    }
+    EXPECT_EQ(kern.stats().faults, 0u);
+    EXPECT_EQ(s.now(), 0);
+    EXPECT_EQ(s.eventsRun(), 0u);
+    const std::uint32_t flags = kern.segment(file).findPage(1)->flags;
+    EXPECT_EQ(flags & (flag::kReferenced | flag::kDirty), 0u);
+}
+
 TEST_F(KernelTest, UnresolvedFaultLoopsThenThrows)
 {
     BrokenManager mgr;
@@ -846,6 +869,45 @@ INSTANTIATE_TEST_SUITE_P(
                      ManagerMode::SameProcess},
         CrossingCase{Crossing::CoalescedResilient,
                      ManagerMode::SeparateProcess}));
+
+TEST(TouchFrames, ResidentTouchBuildsNoFrame)
+{
+    // A resident touch with a TLB hit is a plain call: 1,024 warm
+    // touches inside one running task take no block from the frame
+    // pool, and no event.
+    hw::MachineConfig m = smallMachine();
+    m.modelTlb = true;
+    sim::Simulation s;
+    Kernel kern(s, m);
+    SegmentId seg = kern.createSegmentNow("data", 4096, 8, kSystemUser);
+    kern.migratePagesNow(kPhysSegment, seg, 0, 0, 8,
+                         flag::kReadable | flag::kWritable, 0);
+    Process p("app", 1);
+    // Touch every page until a whole pass hits the TLB (it replaces at
+    // random, so a refill can evict another of the pages).
+    std::uint64_t misses;
+    do {
+        misses = kern.stats().tlbMisses;
+        for (PageIndex pg = 0; pg < 8; ++pg)
+            runTask(s, kern.touchSegment(p, seg, pg, AccessType::Write));
+    } while (kern.stats().tlbMisses != misses);
+    const std::uint64_t events = s.eventsRun();
+    std::uint64_t blocks = ~std::uint64_t{0};
+    runTask(s, [](Kernel &k, Process &proc, SegmentId sg,
+                  std::uint64_t *out) -> sim::Task<> {
+        const std::uint64_t b0 = sim::threadFrameBlocks();
+        for (int i = 0; i < 1024; ++i) {
+            co_await k.touchSegment(proc, sg, i % 8,
+                                    i % 4 ? AccessType::Read
+                                          : AccessType::Write);
+        }
+        *out = sim::threadFrameBlocks() - b0;
+    }(kern, p, seg, &blocks));
+    EXPECT_EQ(blocks, 0u);
+    EXPECT_EQ(s.eventsRun(), events);
+    EXPECT_EQ(kern.stats().tlbMisses, misses);
+    EXPECT_EQ(kern.stats().faults, 0u);
+}
 
 TEST_F(KernelTest, SeparateProcessManagerSerializesFaults)
 {

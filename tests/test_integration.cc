@@ -572,5 +572,99 @@ TEST(FaultPath, SteadyStateFaultsAllocateNothing)
     EXPECT_EQ(window, 0u);
 }
 
+/**
+ * Frame-pool blocks handed out while the touch of (@p seg, @p page)
+ * runs to completion inside one task.
+ */
+std::uint64_t
+touchBlocks(sim::Simulation &s, kernel::Kernel &k, kernel::Process &proc,
+            kernel::SegmentId seg, kernel::PageIndex page, AccessType a)
+{
+    std::uint64_t blocks = 0;
+    runTask(s, [](kernel::Kernel &kern, kernel::Process &p,
+                  kernel::SegmentId sg, kernel::PageIndex pg,
+                  AccessType acc, std::uint64_t *out) -> sim::Task<> {
+        const std::uint64_t b0 = sim::threadFrameBlocks();
+        co_await kern.touchSegment(p, sg, pg, acc);
+        *out = sim::threadFrameBlocks() - b0;
+    }(k, proc, seg, page, a, &blocks));
+    return blocks;
+}
+
+TEST(FaultPath, FaultFramesOnlyWhereItWaits)
+{
+    // The vm_fault_churn machine, warmed as in
+    // SteadyStateFaultsAllocateNothing. A frame is built only where
+    // the fault waits; resident touches, leaf kernel calls (charges,
+    // MigratePages, ModifyPageFlags) and the default hooks build none.
+    apps::VppStack st(hw::decstation5000_200());
+    mgr::DefaultSegmentManager m(st.kern, &st.spcm, st.server,
+                                 st.registry);
+    m.initNow(4096, 512);
+    st.kern.setDefaultManager(&st.ucds);
+    kernel::ResiliencePolicy pol;
+    pol.enabled = true;
+    pol.faultDeadline = sim::msec(120);
+    pol.maxRedeliveries = 3;
+    pol.retryBackoff = sim::msec(1);
+    st.kern.setResiliencePolicy(pol);
+    std::vector<kernel::SegmentId> segs;
+    for (int i = 0; i < 4; ++i) {
+        uio::FileId f =
+            st.server.createFile("f" + std::to_string(i), 512 * 4096);
+        segs.push_back(runTask(st.sim, m.openFile(f)));
+    }
+    kernel::Process proc("p", 1);
+    sim::Random rng(1);
+    std::uint64_t txns = 0;
+    for (int c = 0; c < 48; ++c)
+        runTask(st.sim, churnChunk(st.kern, m, proc, segs, rng, txns));
+
+    // One fault of each kind the workload raises, after a clock pass.
+    // A sampling fault on a page the pass left without access takes 10
+    // blocks: the fault loop and deliverBatch frames, the batch, the
+    // resilient attempt's promise, root, frame and copy of the batch,
+    // the crossing, handleFault and handleProtection. A missing page
+    // filled from its file drops handleProtection and adds the slot
+    // run, fillPage, pageIn and its buffer list, the I/O retry loop and
+    // the disk transfer: 15.
+    const kernel::Segment &seg = st.kern.segment(segs[0]);
+    kernel::PageIndex missing = 0;
+    while (seg.findPage(missing))
+        ++missing;
+    kernel::PageIndex sampled = 0;
+    for (;; ++sampled) {
+        const kernel::PageEntry *e = seg.findPage(sampled);
+        if (e && !(e->flags & flag::kReadable))
+            break;
+    }
+    const kernel::Kernel::Stats before = st.kern.stats();
+    const std::uint64_t reads = st.disk.reads();
+    const std::uint64_t missingBlocks =
+        touchBlocks(st.sim, st.kern, proc, segs[0], missing,
+                    AccessType::Read);
+    const std::uint64_t sampledBlocks =
+        touchBlocks(st.sim, st.kern, proc, segs[0], sampled,
+                    AccessType::Read);
+    EXPECT_EQ(st.kern.stats().missingFaults - before.missingFaults, 1u);
+    EXPECT_EQ(st.kern.stats().protectionFaults - before.protectionFaults,
+              1u);
+    EXPECT_EQ(st.disk.reads() - reads, 1u);
+    EXPECT_EQ(missingBlocks, 15u);
+    EXPECT_EQ(sampledBlocks, 10u);
+
+    // Over 16 whole chunks, clock passes included: at most 7.5 blocks
+    // per touch, where 43 % of touches fault.
+    const std::uint64_t faults = st.kern.stats().faults;
+    const std::uint64_t b0 = sim::threadFrameBlocks();
+    for (int c = 0; c < 16; ++c)
+        runTask(st.sim, churnChunk(st.kern, m, proc, segs, rng, txns));
+    const std::uint64_t blocks = sim::threadFrameBlocks() - b0;
+    const std::uint64_t touches = 16 * 25 * 24;
+    EXPECT_GT(st.kern.stats().faults - faults, 3000u);
+    EXPECT_LE(2 * blocks, 15 * touches)
+        << static_cast<double>(blocks) / touches << " blocks per touch";
+}
+
 } // namespace
 } // namespace vpp

@@ -26,6 +26,9 @@
 namespace vpp::sim {
 namespace {
 
+/** A movable, non-trivial result, as a manager's slot list is. */
+using SlotRunLike = std::vector<int>;
+
 TEST(Time, Conversions)
 {
     EXPECT_EQ(usec(1), 1000);
@@ -561,6 +564,56 @@ TEST(Task, LiveTaskCounting)
     EXPECT_EQ(s.liveTasks(), 1);
     s.run();
     EXPECT_EQ(s.liveTasks(), 0);
+}
+
+TEST(Task, ReadyValueBuildsNoFrame)
+{
+    // A ready task hands its value to the awaiter with no coroutine
+    // frame and no event; only the awaiting coroutine's own frame and
+    // its root come from the frame pool.
+    Simulation s;
+    int got = 0;
+    SlotRunLike run;
+    const std::uint64_t b0 = threadFrameBlocks();
+    std::uint64_t inside = 0;
+    s.spawn([](int *out, SlotRunLike *r, std::uint64_t *blocks) -> Task<> {
+        const std::uint64_t before = threadFrameBlocks();
+        *out = co_await Task<int>::ready(42);
+        *r = co_await Task<SlotRunLike>::ready(SlotRunLike(3, 7));
+        *blocks = threadFrameBlocks() - before;
+    }(&got, &run, &inside));
+    EXPECT_EQ(got, 42);
+    EXPECT_EQ(run, SlotRunLike(3, 7));
+    EXPECT_EQ(inside, 0u);
+    // The spawned coroutine and its root.
+    EXPECT_EQ(threadFrameBlocks() - b0, 2u);
+    EXPECT_EQ(s.liveTasks(), 0);
+    s.run();
+    EXPECT_EQ(s.eventsRun(), 0u);
+}
+
+TEST(Task, EmptyTaskCompletesAtOnce)
+{
+    // A default Task<> has no frame: awaiting it neither suspends nor
+    // schedules anything, moved or not.
+    Simulation s;
+    int steps = 0;
+    s.spawn([](Simulation &sim, int *n) -> Task<> {
+        co_await Task<>();
+        ++*n;
+        Task<> empty;
+        Task<> moved = std::move(empty);
+        co_await std::move(moved);
+        ++*n;
+        co_await sim.delay(3);
+        ++*n;
+    }(s, &steps));
+    EXPECT_EQ(steps, 2);
+    s.run();
+    EXPECT_EQ(steps, 3);
+    EXPECT_EQ(s.eventsRun(), 1u);
+    EXPECT_EQ(s.now(), 3);
+    static_assert(sizeof(Task<>) == sizeof(void *));
 }
 
 TEST(Future, FulfilBeforeAwait)
