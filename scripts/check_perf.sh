@@ -18,7 +18,9 @@
 # do not fail), 1 otherwise. A fixed set of required benchmarks —
 # the COW frame-store hot paths (BM_CopyFrame, BM_ZeroFill,
 # BM_PageInOut), the fault path (BM_FullFaultPath, BM_FaultBatch,
-# BM_FaultRedeliver), the resolve path (BM_ResolveThroughBindings,
+# BM_FaultRedeliver), the resident touch (BM_TouchResident through its
+# runTask wrapper, BM_TouchResidentInTask inside one running task),
+# the resolve path (BM_ResolveThroughBindings,
 # BM_PerCpuResolveHit), the sharded engine
 # (BM_ShardedStep, BM_CrossShardEvent), the batched memory market
 # (BM_MarketRound), the shared-kernel fault path
@@ -89,6 +91,7 @@ missing = []
 # drops one of these would blind the gate.
 required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_FullFaultPath", "BM_FaultBatch", "BM_FaultRedeliver",
+            "BM_TouchResident", "BM_TouchResidentInTask",
             "BM_ResolveThroughBindings", "BM_PerCpuResolveHit",
             "BM_ShardedStep", "BM_CrossShardEvent",
             "BM_MarketRound", "BM_SharedKernelFault", "BM_DbTxnPath",
