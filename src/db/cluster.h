@@ -64,6 +64,7 @@ struct ClusterResult
     double lockWaitSec = 0;
     std::uint64_t epochs = 0;      ///< deterministic window count
     std::uint64_t crossEvents = 0; ///< deterministic mailbox traffic
+    std::uint64_t events = 0;      ///< events executed, every shard
 };
 
 ClusterResult runClusterStudy(const ClusterParams &params = {});
