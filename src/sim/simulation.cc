@@ -142,6 +142,17 @@ Simulation::fireEvent(Event &ev)
 }
 
 void
+Simulation::EventRing::grow()
+{
+    PoolVector<Event> bigger(std::max<std::size_t>(16, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i)
+        bigger[i] = buf_[(head_ + i) & mask_];
+    buf_.swap(bigger);
+    mask_ = buf_.size() - 1;
+    head_ = 0;
+}
+
+void
 Simulation::dropTombstones()
 {
     std::erase_if(heap_, cancelled);

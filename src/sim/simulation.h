@@ -276,6 +276,42 @@ class Simulation
         };
     };
 
+    /**
+     * The same-instant FIFO: a power-of-two ring in frame-pool
+     * storage that grows by doubling and never shrinks, so once it
+     * has held its peak, queueing an event allocates nothing.
+     */
+    class EventRing
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        const Event &front() const { return buf_[head_]; }
+
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+
+        void
+        push_back(const Event &ev)
+        {
+            if (size_ == buf_.size())
+                grow();
+            buf_[(head_ + size_) & mask_] = ev;
+            ++size_;
+        }
+
+      private:
+        void grow();
+
+        PoolVector<Event> buf_;
+        std::size_t mask_ = 0; ///< buf_.size() - 1, once allocated
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     struct EventLater
     {
         bool
@@ -467,7 +503,7 @@ class Simulation
     Event next_;     ///< minimum of all future events when nextValid_
     std::vector<Event> heap_;    ///< the other future events, a heap
     std::size_t tombstones_ = 0; ///< cancels since the last sweep
-    std::deque<Event, detail::PoolAlloc<Event>> nowQueue_;
+    EventRing nowQueue_;
     std::deque<CallbackSlot> slots_;
     CallbackSlot *freeSlots_ = nullptr;
     std::vector<std::exception_ptr> errors_;

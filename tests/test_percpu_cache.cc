@@ -753,9 +753,8 @@ TEST(SharedKernelFrames, ResidentTripBuildsAFixedFew)
     // the request and reply mail, and the home shard's serving
     // coroutine and drain, each with its root. A home trip takes the
     // drain and its root. The touch itself builds no frame and no
-    // promise. The engine's same-instant event queue takes one block
-    // per ten events: 4 more over ten remote trips, 3 over ten home
-    // trips.
+    // promise, and the engine's same-instant queue, warm after the
+    // first trip, takes none.
     TripRig rig;
     std::uint64_t remote = 0;
     std::uint64_t home = 0;
@@ -782,8 +781,8 @@ TEST(SharedKernelFrames, ResidentTripBuildsAFixedFew)
         n = sim::threadFrameBlocks() - b0;
     }(rig, home));
     rig.engine.run();
-    EXPECT_EQ(remote, 10 * 6u + 4u);
-    EXPECT_EQ(home, 10 * 2u + 3u);
+    EXPECT_EQ(remote, 10 * 6u);
+    EXPECT_EQ(home, 10 * 2u);
     EXPECT_EQ(rig.kern.stats().cpuTouchesQueued, 22u);
     EXPECT_EQ(rig.kern.stats().faults, 0u);
 
