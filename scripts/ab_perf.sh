@@ -22,9 +22,13 @@
 #   --cpu N             CPU to pin to (default: the last one)
 #
 # Output: per workload (or bench) and metric, the median and quartiles
-# of each side, the ratio of medians B/A and the number of pairs B won
+# of each side, the ratio of medians B/A, the number of pairs B won
 # (by the metric's direction in BENCHMARK.json; microbench times are
-# lower-is-better). Raw samples are printed as JSON lines on stderr.
+# lower-is-better) and each side's count of slow runs: below 0.8x that
+# side's median, or above 1.25x for a lower-is-better metric. A
+# non-zero count marks a set whose runs fall into a slow and a fast
+# mode, where the median depends on how many runs each mode drew. Raw
+# samples are printed as JSON lines on stderr.
 
 set -eu
 
@@ -184,9 +188,18 @@ def quartiles(v):
         return v[i] + (v[j] - v[i]) * (x - i)
     return q(0.25), q(0.5), q(0.75)
 
+def slow(v, median, direction):
+    """Runs in the slow mode: 0.8x below or 1.25x above the median."""
+    if direction == "higher":
+        return str(sum(x < 0.8 * median for x in v))
+    if direction == "lower":
+        return str(sum(x > 1.25 * median for x in v))
+    return "-"
+
 print(f"A = {base}, B = {head}")
 print(f"{'name':<24} {'metric':<20} {'A median':>10} {'A q1-q3':<21} "
-      f"{'B median':>10} {'B q1-q3':<21} {'B/A':>6} {'B wins':>6}")
+      f"{'B median':>10} {'B q1-q3':<21} {'B/A':>6} {'B wins':>6} "
+      f"{'A slow':>6} {'B slow':>6}")
 for (name, metric), vals in sorted(runs.items()):
     rounds = sorted({r for (_, r) in vals})
     pairs = [(vals[("A", r)], vals[("B", r)]) for r in rounds
@@ -208,5 +221,6 @@ for (name, metric), vals in sorted(runs.items()):
     ratio = f"{bm / am:.3f}" if am else "-"
     won = f"{wins}/{len(pairs)}" if wins is not None else "-"
     print(f"{name:<24} {metric:<20} {am:>10.4g} {f'{a1:.4g}-{a3:.4g}':<21} "
-          f"{bm:>10.4g} {f'{b1:.4g}-{b3:.4g}':<21} {ratio:>6} {won:>6}")
+          f"{bm:>10.4g} {f'{b1:.4g}-{b3:.4g}':<21} {ratio:>6} {won:>6} "
+          f"{slow(a, am, direction):>6} {slow(b, bm, direction):>6}")
 EOF
