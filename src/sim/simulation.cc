@@ -88,11 +88,9 @@ Simulation::~Simulation()
     };
     for (; !nowQueue_.empty(); nowQueue_.pop_front())
         drop(nowQueue_.front());
-    if (nextValid_)
-        drop(next_);
-    while (!heap_.empty()) {
-        const Event ev = heap_.back();
-        heap_.pop_back();
+    while (!timers_.empty()) {
+        const Event ev = timers_.back();
+        timers_.pop_back();
         drop(ev);
     }
 }
@@ -155,8 +153,8 @@ Simulation::EventRing::grow()
 void
 Simulation::dropTombstones()
 {
-    std::erase_if(heap_, cancelled);
-    std::make_heap(heap_.begin(), heap_.end(), EventLater{});
+    std::erase_if(timers_, cancelled);
+    std::make_heap(timers_.begin(), timers_.end(), EventLater{});
     tombstones_ = 0;
 }
 
@@ -166,13 +164,14 @@ Simulation::drainUntil(SimTime deadline)
     rethrowPending();
     for (;;) {
         Event ev;
-        // next_ is the minimum of all future events, so it stands in
-        // for the heap top; the heap refills it on consumption.
-        if (nextValid_ &&
-            (next_.when == now_ ||
-             (nowQueue_.empty() && next_.when <= deadline))) {
-            ev = next_;
-            popNext();
+        // A future event at now_ was queued before any FIFO entry, so
+        // it runs first; otherwise the FIFO drains before time moves.
+        bool timer;
+        const Event *fut = peekFuture(timer);
+        if (fut && (fut->when == now_ ||
+                    (nowQueue_.empty() && fut->when <= deadline))) {
+            ev = *fut;
+            popFuture(timer);
         } else if (!nowQueue_.empty() && now_ <= deadline) {
             ev = nowQueue_.front();
             nowQueue_.pop_front();
@@ -194,10 +193,12 @@ Simulation::nextEventTime()
 {
     // Drop cancelled events from the front, in execution order.
     for (;;) {
-        if (nextValid_ && (nowQueue_.empty() || next_.when == now_)) {
-            if (!cancelled(next_))
-                return next_.when;
-            popNext();
+        bool timer;
+        const Event *fut = peekFuture(timer);
+        if (fut && (nowQueue_.empty() || fut->when == now_)) {
+            if (!cancelled(*fut))
+                return fut->when;
+            popFuture(timer);
         } else if (!nowQueue_.empty()) {
             if (!cancelled(nowQueue_.front()))
                 return now_;

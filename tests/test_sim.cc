@@ -458,7 +458,7 @@ class CancelChurn
     }
 
     /** Cancel the next event to run if it is a slab callback: it sits
-     *  in the next-event register or at the head of the FIFO. */
+     *  at the top of the timer heap or at the head of the FIFO. */
     void
     cancelSoonest()
     {
@@ -483,10 +483,10 @@ class CancelChurn
 
 TEST(SimulationCancel, RandomCancelsKeepReferenceOrder)
 {
-    // Each seed cancels about 3,100 of 20,000 events (about 330 in the
-    // next-event register, 440 in the same-instant FIFO, the rest in
-    // the heap), enough to sweep tombstones from the heap about 70
-    // times.
+    // Each seed cancels about 3,100 of 20,000 events, in the
+    // same-instant FIFO and in the timer heap, which the drain merges
+    // with the main heap and its register; enough cancels to sweep
+    // the timer heap's tombstones many times.
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE(seed);
         CancelChurn churn(seed, 20000);
@@ -887,6 +887,31 @@ TEST(SyncAllocation, QueuedWaitsAllocateNothing)
     EXPECT_EQ(mem::threadAllocations() - a0, 0u);
     EXPECT_EQ(s.now(), 2 * 200 + 1000 * 200);
     EXPECT_EQ(sem.available(), 1);
+}
+
+TEST(SimulationRing, WarmThreadGrowsRingWithoutHeap)
+{
+    // 40 events at one instant grow the same-instant ring from 16 to
+    // 64 entries (3,072 bytes). Once a first engine on this thread has
+    // given its rings back, a second takes all three from the frame
+    // pool and none from the global heap.
+    if (!mem::hooksActive())
+        GTEST_SKIP() << "heap accounting compiled out";
+    int ran = 0;
+    auto burst = [&ran](Simulation &s) {
+        for (int i = 0; i < 40; ++i)
+            s.schedule(0, [&ran] { ++ran; });
+        s.run();
+    };
+    {
+        Simulation first;
+        burst(first);
+    }
+    Simulation second;
+    const std::uint64_t a0 = mem::threadAllocations();
+    burst(second);
+    EXPECT_EQ(mem::threadAllocations() - a0, 0u);
+    EXPECT_EQ(ran, 80);
 }
 
 TEST(SyncTeardown, ParkedWaitersSurviveTeardownInEitherOrder)
