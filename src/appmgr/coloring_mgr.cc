@@ -22,7 +22,7 @@ ColoringManager::chooseSlots(Kernel &k, const Fault &f, std::uint64_t n)
             if (colorOfSlot(k, slot) == want) {
                 takeSlot(slot);
                 ++colorHits_;
-                co_return mgr::SlotRun{slot};
+                co_return mgr::SlotRun{slot, 1};
             }
         }
         // No frame of the right color in the pool: ask the SPCM for a

@@ -25,7 +25,7 @@ PlacementManager::chooseSlots(Kernel &k, const Fault &f,
             if (topo_.nodeOf(a) == node) {
                 takeSlot(slot);
                 ++placed_;
-                co_return mgr::SlotRun{slot};
+                co_return mgr::SlotRun{slot, 1};
             }
         }
         if (attempt == 0) {

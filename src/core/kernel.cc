@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "ipc/cross.h"
 
@@ -1007,27 +1008,25 @@ Kernel::deliverBatch(SegmentManager *mgr, FaultBatch faults,
 
     sim::Duration backoff = resilience_.retryBackoff;
     bool failed_over = false;
+    AttemptRace race;
     for (int attempt = 0;; ++attempt) {
-        // Fulfilled with whether the deadline expired first.
-        sim::Promise<bool> done(*sim_);
+        race.reset();
         sim_->spawn(runHandlerAttempt(mgr, faults, attempt ? 0 : pre,
-                                      done));
+                                      race));
         // The default manager is the trusted base and there is nobody
         // left to fail over to, so its attempt runs without a deadline
         // (a slow disk must not turn an honest fill into
-        // "unresponsive"). The deadline is a plain scheduled callback:
-        // it claims its event sequence number right after the
-        // attempt's first charge, and is cancelled if the attempt
-        // finishes first.
+        // "unresponsive"). The deadline is a timer callback: it claims
+        // its event sequence number right after the attempt's first
+        // charge, and is cancelled once the delivery resumes, so it
+        // never outlives the race it points at.
         sim::EventId deadline;
         if (!failed_over) {
-            deadline = sim_->schedule(
-                sim_->now() + resilience_.faultDeadline, [done]() mutable {
-                    if (!done.fulfilled())
-                        done.setValue(true);
-                });
+            deadline = sim_->timer(
+                sim_->now() + resilience_.faultDeadline,
+                [r = &race, s = sim_] { r->expire(*s); });
         }
-        if (co_await done.future()) {
+        if (co_await race) {
             ++stats_.faultTimeouts;
             mgr->noteTimeout();
         }
@@ -1053,7 +1052,7 @@ Kernel::deliverBatch(SegmentManager *mgr, FaultBatch faults,
         ++stats_.failovers;
         mgr->noteFailover();
         stats_.framesReclaimed += reclaimUnresponsive(mgr);
-        for (const Fault &f : faults)
+        for (const Fault &f : faults.view())
             setSegmentManagerNow(f.segment, defaultMgr_);
         mgr = defaultMgr_;
         mgr->noteCall();
@@ -1115,14 +1114,44 @@ Kernel::handlerFor(SegmentManager *mgr, const FaultBatch &faults)
 {
     // Queue-formed batches reach handleFaults even at size one.
     if (config_.faultCoalescing)
-        return mgr->handleFaults(*this, faults);
+        return mgr->handleFaults(*this, faults.view());
     return mgr->handleFault(*this, faults.front());
+}
+
+void
+Kernel::AttemptRace::expire(sim::Simulation &s)
+{
+    if (finished || timedOut)
+        return;
+    timedOut = true;
+    cutLoose();
+    if (waiting)
+        s.scheduleResume(s.now(), waiting);
+}
+
+void
+Kernel::AttemptRace::finish(sim::Simulation &s)
+{
+    attempt = nullptr;
+    finished = true;
+    if (waiting)
+        s.scheduleResume(s.now(), waiting);
+}
+
+void
+Kernel::AttemptRace::cutLoose()
+{
+    if (attempt) {
+        attempt->race = nullptr;
+        attempt = nullptr;
+    }
 }
 
 sim::Task<>
 Kernel::runHandlerAttempt(SegmentManager *mgr, FaultBatch faults,
-                          sim::Duration pre, sim::Promise<bool> done)
+                          sim::Duration pre, AttemptRace &race)
 {
+    AttemptLink link(race);
     const std::size_t n = faults.size();
     try {
         co_await crossToManager(
@@ -1135,8 +1164,10 @@ Kernel::runHandlerAttempt(SegmentManager *mgr, FaultBatch faults,
         // property under test.
         ++stats_.managerCrashes;
     }
-    if (!done.fulfilled())
-        done.setValue(false);
+    // A deadline that expired first cut this attempt loose: its
+    // delivery has moved on, and may be gone.
+    if (AttemptRace *r = std::exchange(link.race, nullptr))
+        r->finish(*sim_);
 }
 
 bool
@@ -1164,8 +1195,7 @@ Kernel::faultResolved(const Fault &f)
 void
 Kernel::dropResolved(FaultBatch &faults)
 {
-    std::erase_if(faults,
-                  [this](const Fault &f) { return faultResolved(f); });
+    faults.eraseIf([this](const Fault &f) { return faultResolved(f); });
 }
 
 std::uint64_t
@@ -1338,7 +1368,7 @@ Kernel::faultLoop(Fault f)
         } else {
             // Inline: a batch of one, with no spawn and no yield.
             co_await sim_->delay(c.trapEnter + c.faultDispatch);
-            co_await deliverBatch(mgr, FaultBatch(1, f), 0);
+            co_await deliverBatch(mgr, FaultBatch(f), 0);
         }
 
         // Copy-on-write: the kernel performs the copy after the manager

@@ -472,11 +472,69 @@ class Kernel
     sim::Task<> faultLoop(Fault f);
 
     /**
-     * The faults one crossing carries. Pooled storage: a one-fault
-     * batch, and each resilient attempt's copy of it, costs no heap
-     * allocation.
+     * The faults one crossing carries. A batch of one, as every inline
+     * fault is, holds its fault in place, and so does each resilient
+     * attempt's copy of it; a queue-formed batch of more keeps them in
+     * pooled storage.
      */
-    using FaultBatch = sim::PoolVector<Fault>;
+    class FaultBatch
+    {
+      public:
+        FaultBatch() = default;
+        explicit FaultBatch(const Fault &f) : one_(f), inline_(true) {}
+
+        /** Room for @p n faults, in pooled storage when n > 1. */
+        void
+        reserve(std::size_t n)
+        {
+            if (n > 1)
+                more_.reserve(n);
+        }
+
+        /** Append @p f; a second fault moves the first to the pool. */
+        void
+        push_back(const Fault &f)
+        {
+            if (!inline_ && more_.empty()) {
+                one_ = f;
+                inline_ = true;
+                return;
+            }
+            if (inline_) {
+                more_.push_back(one_);
+                inline_ = false;
+            }
+            more_.push_back(f);
+        }
+
+        std::span<const Fault>
+        view() const
+        {
+            if (inline_)
+                return {&one_, 1};
+            return more_;
+        }
+
+        std::size_t size() const { return view().size(); }
+        bool empty() const { return view().empty(); }
+        const Fault &front() const { return view().front(); }
+
+        /** Drop every fault @p done holds for, keeping the order. */
+        template <typename Pred>
+        void
+        eraseIf(Pred done)
+        {
+            if (inline_)
+                inline_ = !done(one_);
+            else
+                std::erase_if(more_, done);
+        }
+
+      private:
+        Fault one_;
+        bool inline_ = false; ///< the batch is one_
+        sim::PoolVector<Fault> more_;
+    };
 
     /**
      * Coalescing fault queue (MachineConfig::faultCoalescing): faults
@@ -541,15 +599,83 @@ class Kernel
     /** The handler call for @p faults (see invokeHandler). */
     sim::Task<> handlerFor(SegmentManager *mgr, const FaultBatch &faults);
 
+    struct AttemptLink;
+
+    /**
+     * One resilient attempt's race against its deadline, as the
+     * delivery awaiting it sees it: awaiting it yields whether the
+     * deadline expired first. It lives in the delivery's frame and is
+     * reset for each attempt. The running attempt points at it through
+     * its AttemptLink until it reports or the deadline cuts it loose,
+     * and the deadline points at it until it fires or the resumed
+     * delivery cancels it. A destructor only unlinks, so the engine
+     * may destroy either frame first (DESIGN.md, "A frame only where
+     * the machine waits").
+     */
+    struct AttemptRace
+    {
+        AttemptRace() = default;
+        AttemptRace(const AttemptRace &) = delete;
+        AttemptRace &operator=(const AttemptRace &) = delete;
+        ~AttemptRace() { cutLoose(); }
+
+        /** Open the race for the next attempt. */
+        void reset() { finished = timedOut = false; }
+
+        /** The deadline: it expires unless the attempt reported. */
+        void expire(sim::Simulation &s);
+
+        /** The attempt, still linked, finished (or crashed). */
+        void finish(sim::Simulation &s);
+
+        /** Stop the running attempt from reporting here. */
+        void cutLoose();
+
+        bool await_ready() const noexcept { return finished || timedOut; }
+
+        void
+        await_suspend(std::coroutine_handle<> h) noexcept
+        {
+            waiting = h;
+        }
+
+        bool
+        await_resume() noexcept
+        {
+            waiting = nullptr;
+            return timedOut;
+        }
+
+        std::coroutine_handle<> waiting; ///< the parked delivery
+        AttemptLink *attempt = nullptr;  ///< the linked, running attempt
+        bool finished = false;
+        bool timedOut = false;
+    };
+
+    /** A running attempt's end of its AttemptRace, in its frame. */
+    struct AttemptLink
+    {
+        explicit AttemptLink(AttemptRace &r) : race(&r) { r.attempt = this; }
+        AttemptLink(const AttemptLink &) = delete;
+        AttemptLink &operator=(const AttemptLink &) = delete;
+
+        ~AttemptLink()
+        {
+            if (race)
+                race->attempt = nullptr;
+        }
+
+        AttemptRace *race; ///< null once cut loose or reported
+    };
+
     /**
      * One resilient attempt, spawned as a detached root so that it can
-     * race a deadline. It owns its copy of the batch and reports
-     * through @p done; a crashing handler is contained (counted, never
-     * rethrown).
+     * race a deadline. It owns its copy of the batch and reports to
+     * @p race while still linked; a crashing handler is contained
+     * (counted, never rethrown).
      */
-    sim::Task<> runHandlerAttempt(
-        SegmentManager *mgr, FaultBatch faults, sim::Duration pre,
-        sim::Promise<bool> done);
+    sim::Task<> runHandlerAttempt(SegmentManager *mgr, FaultBatch faults,
+                                  sim::Duration pre, AttemptRace &race);
 
     bool faultResolved(const Fault &f);
     void dropResolved(FaultBatch &faults);

@@ -21,15 +21,36 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "core/types.h"
-#include "sim/task.h"
 
 namespace vpp::mgr {
 
-/** A run of slots, in pooled storage: taking one allocates nothing. */
-using SlotRun = sim::PoolVector<kernel::PageIndex>;
+/** The consecutive slots [first, first + count), held as a range. */
+struct SlotRun
+{
+    kernel::PageIndex first = 0;
+    std::uint64_t count = 0;
+
+    bool empty() const { return count == 0; }
+    std::uint64_t size() const { return count; }
+    kernel::PageIndex operator[](std::uint64_t i) const { return first + i; }
+
+    // An iota iterator holds its value, so it outlives its view.
+    auto
+    begin() const
+    {
+        return std::views::iota(first, first + count).begin();
+    }
+
+    auto
+    end() const
+    {
+        return std::views::iota(first, first + count).end();
+    }
+};
 
 class SlotPool
 {
@@ -149,9 +170,8 @@ class SlotPool
     SlotRun
     takeRun(std::uint64_t n)
     {
-        SlotRun run;
         if (count_ == 0 || n == 0)
-            return run;
+            return {};
         std::uint64_t best_start = npos;
         std::uint64_t best_len = 0;
         std::uint64_t i = findFrom(0);
@@ -165,12 +185,9 @@ class SlotPool
                 break;
             i = findFrom(i + len + 1);
         }
-        run.reserve(best_len);
-        for (std::uint64_t k = 0; k < best_len; ++k) {
-            run.push_back(best_start + k);
+        for (std::uint64_t k = 0; k < best_len; ++k)
             erase(best_start + k);
-        }
-        return run;
+        return SlotRun{best_start, best_len};
     }
 
     /** Remove and return up to @p n lowest slots, ascending. */

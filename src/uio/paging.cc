@@ -1,13 +1,32 @@
 #include "uio/paging.h"
 
-#include <vector>
-
 namespace vpp::uio {
 
 namespace {
 
-/** A page's frame buffers in flight, in pooled storage. */
-using BufList = sim::PoolVector<hw::BufRef>;
+/**
+ * A page's frame buffers in flight: a one-frame page holds its buffer
+ * in place, a larger page keeps them in pooled storage.
+ */
+class PageBufs
+{
+  public:
+    explicit PageBufs(std::uint32_t frames)
+    {
+        if (frames > 1)
+            more_.resize(frames);
+    }
+
+    hw::BufRef &
+    operator[](std::uint32_t i)
+    {
+        return more_.empty() ? one_ : more_[i];
+    }
+
+  private:
+    hw::BufRef one_;
+    sim::PoolVector<hw::BufRef> more_;
+};
 
 kernel::PageEntry &
 entryOrThrow(kernel::Kernel &k, kernel::SegmentId seg,
@@ -102,11 +121,9 @@ pageIn(kernel::Kernel &k, FileServer &srv, FileId f,
     const std::uint32_t fs = pm.frameSize();
     const std::uint32_t ps = k.segment(seg).pageSize();
     const std::uint32_t fpp = ps / fs;
-    BufList bufs;
-    bufs.reserve(fpp);
+    PageBufs bufs(fpp);
     for (std::uint32_t i = 0; i < fpp; ++i)
-        bufs.push_back(
-            srv.shareNow(f, offset + i * std::uint64_t{fs}, fs));
+        bufs[i] = srv.shareNow(f, offset + i * std::uint64_t{fs}, fs);
     co_await chargeWithRetry(k, srv, ps, false, "pageIn");
     kernel::PageEntry &e = entryOrThrow(k, seg, page, "pageIn");
     for (std::uint32_t i = 0; i < fpp; ++i)
@@ -125,12 +142,11 @@ pageOut(kernel::Kernel &k, FileServer &srv, FileId f,
     const std::uint32_t fs = pm.frameSize();
     const std::uint32_t ps = k.segment(seg).pageSize();
     const std::uint32_t fpp = ps / fs;
-    BufList bufs;
-    bufs.reserve(fpp);
+    PageBufs bufs(fpp);
     {
         kernel::PageEntry &e = entryOrThrow(k, seg, page, "pageOut");
         for (std::uint32_t i = 0; i < fpp; ++i)
-            bufs.push_back(pm.shareFrame(e.frame + i));
+            bufs[i] = pm.shareFrame(e.frame + i);
     }
     co_await k.chargeCopy(ps);
     for (std::uint32_t i = 0; i < fpp; ++i)

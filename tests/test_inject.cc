@@ -575,6 +575,117 @@ TEST(Resilience, BatchedStallsCountAttempts)
     EXPECT_TRUE(r.kern.checkFrameInvariant(&why)) << why;
 }
 
+// ----------------------------------------------------------------------
+// Lifetimes of an attempt's race with its deadline
+// ----------------------------------------------------------------------
+
+/** Injection that stalls every external attempt for 500 ms. */
+Config
+stallEveryAttempt()
+{
+    Config c;
+    c.enabled = true;
+    c.seed = 11;
+    c.manager.stallProb = 1.0;
+    c.manager.stallTime = msec(500);
+    return c;
+}
+
+TEST(FaultRace, ParkedFaultSurvivesTeardownInEitherOrder)
+{
+    // The run ends while a fault waits on its first attempt, which a
+    // stall holds inside the handler, with the attempt's 50-ms
+    // deadline still pending. The engine destroys the delivery's and
+    // the attempt's frames and the deadline's callback unfired; none
+    // may touch another, the kernel or a manager, whether the engine
+    // goes before or after them.
+    for (bool simFirst : {true, false}) {
+        SCOPED_TRACE(simFirst);
+        auto s = std::make_unique<sim::Simulation>();
+        auto kern = std::make_unique<kernel::Kernel>(*s, smallMachine());
+        auto spcm = std::make_unique<mgr::SystemPageCacheManager>(
+            *kern, std::nullopt);
+        auto flaky = std::make_unique<mgr::GenericSegmentManager>(
+            *kern, "flaky", hw::ManagerMode::SameProcess, spcm.get(), 1);
+        flaky->initNow(128, 64);
+        const kernel::SegmentId seg =
+            kern->createSegmentNow("app", 4096, 64, 1, flaky.get());
+        kernel::ResiliencePolicy pol;
+        pol.enabled = true;
+        pol.faultDeadline = msec(50);
+        pol.maxRedeliveries = 2;
+        pol.failover = false;
+        kern->setResiliencePolicy(pol);
+        auto eng = std::make_unique<Engine>(stallEveryAttempt());
+        kern->setInjector(eng.get());
+        kernel::Process proc("p", 1);
+
+        bool touched = false;
+        s->spawn([](kernel::Kernel &k, kernel::Process &p,
+                    kernel::SegmentId sg, bool *done) -> sim::Task<> {
+            co_await k.touchSegment(p, sg, 0, kernel::AccessType::Write);
+            *done = true;
+        }(*kern, proc, seg, &touched));
+        s->runUntil(msec(20));
+        EXPECT_FALSE(touched);
+        EXPECT_EQ(s->liveTasks(), 2); // the touch and its attempt
+        EXPECT_EQ(kern->stats().injectedStalls, 1u);
+        EXPECT_EQ(kern->stats().faultTimeouts, 0u);
+
+        auto dropMachine = [&] {
+            flaky.reset();
+            spcm.reset();
+            kern.reset();
+            eng.reset();
+        };
+        if (simFirst) {
+            s.reset();
+            dropMachine();
+        } else {
+            dropMachine();
+            s.reset();
+        }
+    }
+}
+
+TEST(FaultRace, StalledAttemptOutlivesItsDelivery)
+{
+    // Every attempt stalls past its deadline and redelivery runs out
+    // first, so the delivery throws ManagerUnresponsive, and its frame
+    // goes, while all three attempts still run. Each deadline cut its
+    // attempt loose, so an attempt that finishes later reports
+    // nowhere; the first to wake installs the page and the others
+    // find the fault resolved.
+    ResilienceRig r;
+    r.kern.setResiliencePolicy(r.policy(2, msec(50), false));
+    Engine eng(stallEveryAttempt());
+    r.kern.setInjector(&eng);
+
+    sim::SimTime threw = -1;
+    r.s.spawn([](ResilienceRig &rig, sim::SimTime *at) -> sim::Task<> {
+        try {
+            co_await rig.kern.touchSegment(rig.proc, rig.seg, 0,
+                                           kernel::AccessType::Write);
+        } catch (const kernel::KernelError &e) {
+            if (e.code() == kernel::KernelErrc::ManagerUnresponsive)
+                *at = rig.s.now();
+        }
+    }(r, &threw));
+    const sim::SimTime end = r.s.run();
+    EXPECT_GT(threw, msec(150));
+    EXPECT_LT(threw, msec(200));
+    EXPECT_GT(end, threw + msec(400)); // the last attempt's stall
+    EXPECT_EQ(r.s.liveTasks(), 0);
+    const auto &st = r.kern.stats();
+    EXPECT_EQ(st.injectedStalls, 3u);
+    EXPECT_EQ(st.faultTimeouts, 3u);
+    EXPECT_EQ(st.managerCrashes, 0u);
+    EXPECT_EQ(r.flaky.pagesAllocated(), 1u);
+    EXPECT_NE(r.kern.segment(r.seg).findPage(0), nullptr);
+    std::string why;
+    EXPECT_TRUE(r.kern.checkFrameInvariant(&why)) << why;
+}
+
 /** What one seeded composed run leaves behind (compared across reruns). */
 struct ComposedOutcome
 {
