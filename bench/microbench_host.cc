@@ -653,6 +653,49 @@ BENCHMARK(BM_SharedKernelFault)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_RemoteKernelTrip(benchmark::State &state)
+{
+    // One warm resident remote trip per iteration, in the shared-kernel
+    // study's shape: the kernel on shard 0, CPU 1 on shard 1, 50-us
+    // IPIs, one worker. The CPU's task runs the benchmark loop inside
+    // the engine, so an iteration is the request mail, the home
+    // shard's drain, the reply mail, the CPU's wake and the epochs
+    // they span, with no spawn and no run() per trip.
+    constexpr kernel::PageIndex kPages = 16;
+    sim::ShardedSimulation engine(2, sim::usec(50), 1);
+    kernel::Kernel kern(engine.shard(0), benchMachine());
+    kern.configureCpus(2, true);
+    const kernel::SegmentId seg =
+        kern.createSegmentNow("rel", 4096, kPages, 1);
+    kern.migratePagesNow(kernel::kPhysSegment, seg, 0, 0, kPages,
+                         kernel::flag::kReadable |
+                             kernel::flag::kWritable,
+                         0);
+    engine.setEpochHook([&kern] { kern.publishCpuEpochs(); });
+    kernel::Process proc("cpu1", 1);
+    engine.shard(1).spawn([](benchmark::State &st,
+                             sim::ShardedSimulation &e, kernel::Kernel &k,
+                             kernel::Process &p,
+                             kernel::SegmentId sg) -> sim::Task<> {
+        auto trip = [&](kernel::PageIndex page) {
+            return db::RemoteTrip(e, 1, e.lookahead(),
+                                  k.touchOnCpu(1, p, sg, page,
+                                               kernel::AccessType::Read));
+        };
+        co_await trip(0);
+        kernel::PageIndex page = 0;
+        for (auto _ : st) {
+            page = (page + 1) % kPages;
+            co_await trip(page);
+        }
+    }(state, engine, kern, proc, seg));
+    engine.run();
+    benchmark::DoNotOptimize(kern.stats().cpuTouchesQueued);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RemoteKernelTrip);
+
+void
 BM_CacheModelAccess(benchmark::State &state)
 {
     hw::CacheModel cache(64 << 10, 16, state.range(0), 4096);

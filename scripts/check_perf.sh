@@ -26,7 +26,8 @@
 # BM_PerCpuResolveHit), the sharded engine
 # (BM_ShardedStep, BM_CrossShardEvent), the batched memory market
 # (BM_MarketRound), the shared-kernel fault path
-# (BM_SharedKernelFault), a cluster-study transaction (BM_DbTxnPath)
+# (BM_SharedKernelFault) and a CPU's remote trip to it
+# (BM_RemoteKernelTrip), a cluster-study transaction (BM_DbTxnPath)
 # and the replacement-policy hooks (BM_PolicyTouch, BM_PolicyVictim) —
 # must be present in the fresh run; their absence fails the gate even
 # if everything that did run was fast enough. The policy hooks
@@ -97,7 +98,8 @@ required = ["BM_CopyFrame", "BM_ZeroFill", "BM_PageInOut",
             "BM_TouchResident", "BM_TouchResidentInTask",
             "BM_ResolveThroughBindings", "BM_PerCpuResolveHit",
             "BM_ShardedStep", "BM_CrossShardEvent",
-            "BM_MarketRound", "BM_SharedKernelFault", "BM_DbTxnPath",
+            "BM_MarketRound", "BM_SharedKernelFault",
+            "BM_RemoteKernelTrip", "BM_DbTxnPath",
             "BM_PolicyTouch", "BM_PolicyVictim"]
 for name in required:
     if not any(n == name or n.startswith(name + "/") for n in new):

@@ -835,17 +835,18 @@ Kernel::cpuMisses(unsigned cpu) const
 }
 
 void
-Kernel::CpuTouch::await_suspend(std::coroutine_handle<> h)
+Kernel::CpuTouch::park(void (*done)(void *), void *arg)
 {
     Kernel &k = *k_;
     CpuState &c = k.cpuOrThrow(cpu_);
-    handle_ = h;
+    done_ = done;
+    arg_ = arg;
     c.pending.push_back(this);
     k.parkedCpus_[cpu_ / 64] |= std::uint64_t{1} << (cpu_ % 64);
     ++k.stats_.cpuTouchesQueued;
     if (!k.cpuDraining_) {
         k.cpuDraining_ = true;
-        k.sim_->spawn(k.drainCpuTouches());
+        k.scheduleCpuDrain();
     }
 }
 
@@ -854,57 +855,72 @@ Kernel::CpuTouch::operator sim::Task<>() &&
     return [](CpuTouch t) -> sim::Task<> { co_await t; }(std::move(*this));
 }
 
-sim::Task<>
+void
+Kernel::CpuTouch::finish()
+{
+    sim::Simulation &s = *k_->sim_;
+    if (done_)
+        s.schedule(s.now(), [t = this] { t->done_(t->arg_); });
+    else
+        s.scheduleResume(s.now(),
+                         std::coroutine_handle<>::from_address(arg_));
+}
+
+void
+Kernel::scheduleCpuDrain()
+{
+    sim_->schedule(sim_->now(), [k = this] { k->drainCpuTouches(); });
+}
+
+void
 Kernel::drainCpuTouches()
 {
-    // Yield once so every touch raised at this instant is parked
-    // first, then release them in CPU-id order: the order same-instant
-    // faults reach the coalescing queues (and so the batch composition
-    // managers observe) depends only on CPU ids, never on which shard
-    // delivered which touch first.
-    co_await sim_->yield();
-    for (;;) {
-        bool any = false;
-        // A pass visits the parked CPUs in ascending id order. A CPU
-        // parked during the pass joins it only above the cursor, as it
-        // would in a scan of every queue.
-        for (std::size_t w = 0; w < parkedCpus_.size(); ++w) {
-            std::uint64_t visited = 0;
-            while (const std::uint64_t left = parkedCpus_[w] & ~visited) {
-                const int b = std::countr_zero(left);
-                visited = ~std::uint64_t{0} >> (63 - b);
-                parkedCpus_[w] &= ~(std::uint64_t{1} << b);
-                any = true;
-                // Swap rather than move the queue out, so the CPU keeps
-                // its capacity and its next park allocates nothing.
-                cpuBatch_.clear();
-                cpuBatch_.swap(cpus_[w * 64 + b]->pending);
-                for (CpuTouch *t : cpuBatch_) {
-                    // The attempt runs here; only a fault or a TLB
-                    // refill needs a coroutine to finish the touch.
-                    bool done = true;
-                    sim::Task<> fault;
-                    try {
-                        done = attemptTouch(*t->p_, t->seg_, t->page_,
-                                            t->a_, fault);
-                    } catch (...) {
-                        t->error_ = std::current_exception();
-                    }
-                    if (done)
-                        sim_->scheduleResume(sim_->now(), t->handle_);
-                    else
-                        sim_->spawn(runCpuTouch(*t, std::move(fault)));
+    // The first pass runs behind every touch raised at the instant of
+    // the first park, and releases them in CPU-id order: the order
+    // same-instant faults reach the coalescing queues (and so the
+    // batch composition managers observe) depends only on CPU ids,
+    // never on which shard delivered which touch first.
+    bool any = false;
+    // A pass visits the parked CPUs in ascending id order. A CPU
+    // parked during the pass joins it only above the cursor, as it
+    // would in a scan of every queue.
+    for (std::size_t w = 0; w < parkedCpus_.size(); ++w) {
+        std::uint64_t visited = 0;
+        while (const std::uint64_t left = parkedCpus_[w] & ~visited) {
+            const int b = std::countr_zero(left);
+            visited = ~std::uint64_t{0} >> (63 - b);
+            parkedCpus_[w] &= ~(std::uint64_t{1} << b);
+            any = true;
+            // Swap rather than move the queue out, so the CPU keeps
+            // its capacity and its next park allocates nothing.
+            cpuBatch_.clear();
+            cpuBatch_.swap(cpus_[w * 64 + b]->pending);
+            for (CpuTouch *t : cpuBatch_) {
+                // The attempt runs here; only a fault or a TLB refill
+                // needs a coroutine to finish the touch.
+                bool done = true;
+                sim::Task<> fault;
+                try {
+                    done = attemptTouch(*t->p_, t->seg_, t->page_, t->a_,
+                                        fault);
+                } catch (...) {
+                    t->error_ = std::current_exception();
                 }
+                if (done)
+                    t->finish();
+                else
+                    sim_->spawn(runCpuTouch(*t, std::move(fault)));
             }
         }
-        if (!any)
-            break;
-        ++stats_.cpuDrains;
-        // Another yield catches touches enqueued later within this
-        // same instant (event chains behind the first wave).
-        co_await sim_->yield();
     }
-    cpuDraining_ = false;
+    if (!any) {
+        cpuDraining_ = false;
+        return;
+    }
+    ++stats_.cpuDrains;
+    // Another pass catches touches parked later within this same
+    // instant (event chains behind the first wave).
+    scheduleCpuDrain();
 }
 
 sim::Task<>
@@ -918,7 +934,7 @@ Kernel::runCpuTouch(CpuTouch &t, sim::Task<> fault)
     } catch (...) {
         t.error_ = std::current_exception();
     }
-    sim_->scheduleResume(sim_->now(), t.handle_);
+    t.finish();
 }
 
 sim::SimMutex &

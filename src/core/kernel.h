@@ -413,14 +413,14 @@ class Kernel
     CpuResolution resolveForCpu(SegmentId seg, PageIndex page);
 
     /**
-     * Fault entry point for a CPU: awaiting it parks the touch on the
-     * CPU's in-queue and marks the CPU parked; a single drain visits
-     * the parked CPUs in id order, each queue FIFO, and makes each
-     * touch's attempt in place, starting the regular fault path (and
-     * so the coalescing/batch machinery) only for a fault. Same-instant
-     * faults from many CPUs therefore reach managers in one
-     * deterministic batch order regardless of how many shards raised
-     * them. An unknown CPU throws when the touch is awaited.
+     * Fault entry point for a CPU: awaiting it (or CpuTouch::park)
+     * parks the touch on the CPU's in-queue and marks the CPU parked;
+     * a single drain visits the parked CPUs in id order, each queue
+     * FIFO, and makes each touch's attempt in place, starting the
+     * regular fault path (and so the coalescing/batch machinery) only
+     * for a fault. Same-instant faults from many CPUs therefore reach
+     * managers in one deterministic batch order regardless of how many
+     * shards raised them. An unknown CPU throws when the touch parks.
      */
     CpuTouch touchOnCpu(unsigned cpu, Process &p, SegmentId seg,
                         PageIndex page, AccessType a);
@@ -789,8 +789,10 @@ class Kernel
      * Everything a simulated CPU owns. During a sharded run each
      * CpuState is read and written only by its owner shard, except
      * `pending`, which only the kernel's home shard touches. A parked
-     * touch is its awaiter, which lives in the waiting coroutine's
-     * frame; nothing reads it after the frame is resumed or destroyed.
+     * touch is owned by its caller: an awaiter in the waiting
+     * coroutine's frame, or a record such as a remote trip's. The
+     * kernel reads it only from the drain that finishes it, never
+     * after, and never from a destructor.
      */
     struct CpuState
     {
@@ -811,12 +813,23 @@ class Kernel
 
     [[noreturn]] static void throwBadCpu(unsigned cpu);
 
-    sim::Task<> drainCpuTouches();
+    /**
+     * Queue the drain's next pass as an inline event at the current
+     * instant, behind everything already queued for it.
+     */
+    void scheduleCpuDrain();
+
+    /**
+     * One pass over the parked CPUs. A pass that found a touch
+     * schedules the next, which catches touches parked later in the
+     * same instant; one that found none ends the drain.
+     */
+    void drainCpuTouches();
 
     /**
      * Finish a parked touch whose attempt did not: run its fault loop
-     * @p fault, or the TLB refill when @p fault is empty, then resume
-     * the touch's coroutine.
+     * @p fault, or the TLB refill when @p fault is empty, then finish
+     * the touch.
      */
     sim::Task<> runCpuTouch(CpuTouch &t, sim::Task<> fault);
 
@@ -885,18 +898,25 @@ class [[nodiscard]] Kernel::Touch
 };
 
 /**
- * touchOnCpu's awaiter: it parks itself on the CPU's in-queue, and the
- * drain resumes it with one event, the attempt made in place or a
- * fault's or TLB refill's coroutine finished. Moved into a Task<>, it
- * makes a task that runs the touch when awaited.
+ * touchOnCpu's touch. Awaited, it parks itself on the CPU's in-queue;
+ * a caller that is not a coroutine parks it with park(). Either way
+ * the drain finishes it with one event at the current instant, once
+ * the attempt is made in place or a fault's or TLB refill's coroutine
+ * has finished: the event resumes the awaiting coroutine, or calls
+ * park()'s callback. Moved into a Task<>, it makes a task that runs
+ * the touch when awaited.
  */
 class [[nodiscard]] Kernel::CpuTouch
 {
   public:
     bool await_ready() const noexcept { return false; }
 
-    void await_suspend(std::coroutine_handle<> h);
+    void await_suspend(std::coroutine_handle<> h)
+    {
+        park(nullptr, h.address());
+    }
 
+    /** Rethrows what the touch threw, if anything. */
     void
     await_resume() const
     {
@@ -904,7 +924,20 @@ class [[nodiscard]] Kernel::CpuTouch
             std::rethrow_exception(error_);
     }
 
+    /**
+     * Park the touch for a caller that is not a coroutine: the event
+     * that finishes it calls @p done(@p arg), which calls
+     * await_resume() for the touch's error. The touch must stay put
+     * until then. An unknown CPU throws here, and nothing is parked.
+     */
+    void park(void (*done)(void *), void *arg);
+
     operator sim::Task<>() &&;
+
+    Kernel &kernel() const { return *k_; }
+    unsigned cpu() const { return cpu_; }
+    SegmentId segment() const { return seg_; }
+    PageIndex page() const { return page_; }
 
   private:
     friend class Kernel;
@@ -914,13 +947,17 @@ class [[nodiscard]] Kernel::CpuTouch
         : k_(&k), p_(&p), cpu_(cpu), seg_(seg), a_(a), page_(page)
     {}
 
+    /** Schedule the event that resumes the caller or calls done_. */
+    void finish();
+
     Kernel *k_;
     Process *p_;
     unsigned cpu_;
     SegmentId seg_;
     AccessType a_;
     PageIndex page_;
-    std::coroutine_handle<> handle_; ///< set once parked
+    void (*done_)(void *) = nullptr; ///< null: arg_ is a coroutine
+    void *arg_ = nullptr;            ///< set once parked
     std::exception_ptr error_;       ///< what the touch threw
 };
 

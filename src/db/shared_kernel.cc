@@ -23,30 +23,6 @@ namespace vpp::db {
 
 namespace {
 
-struct World;
-
-/**
- * A remote CPU's kernel trip. Its request mail carries the touch by
- * value and a pointer to this awaiter to the kernel's home shard,
- * which runs the touch through the CPU's queue; the reply stores the
- * resolution in the CPU's cache and resumes the CPU, on the CPU's own
- * shard. Only that shard reads the awaiter.
- */
-struct RemoteTrip
-{
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
-    void await_resume() const noexcept {}
-
-    World *world;
-    unsigned cpu;
-    unsigned shard;
-    kernel::SegmentId seg;
-    kernel::PageIndex page;
-    kernel::AccessType access;
-    std::coroutine_handle<> handle;
-};
-
 /** One simulated CPU: lives on shard id / cpusPerShard. */
 struct Cpu
 {
@@ -75,9 +51,6 @@ struct World
     sim::Task<> cpuLoop(Cpu &cpu);
     bool touchCached(Cpu &cpu, kernel::SegmentId seg,
                      kernel::PageIndex page, kernel::AccessType a);
-    sim::Task<> serveMiss(unsigned cpu, kernel::SegmentId seg,
-                          kernel::PageIndex page, kernel::AccessType a,
-                          unsigned srcShard, RemoteTrip *trip);
     sim::Task<> recycler();
 
     SharedKernelParams params;
@@ -184,41 +157,6 @@ World::touchCached(Cpu &cpu, kernel::SegmentId seg,
     return false;
 }
 
-void
-RemoteTrip::await_suspend(std::coroutine_handle<> h)
-{
-    handle = h;
-    World *w = world;
-    const sim::SimTime now = w->engine.shard(shard).now();
-    w->engine.post(0, now + w->params.ipiLatency,
-                   [w, c = cpu, s = seg, p = page, a = access,
-                    src = shard, trip = this] {
-                       w->home.spawn(w->serveMiss(c, s, p, a, src, trip));
-                   });
-}
-
-/**
- * The home shard's half of a remote trip: the kernel services the
- * touch through the per-CPU queue and fault machinery, and the
- * resolution value travels back for the CPU's shard to cache.
- */
-sim::Task<>
-World::serveMiss(unsigned cpu, kernel::SegmentId seg,
-                 kernel::PageIndex page, kernel::AccessType a,
-                 unsigned srcShard, RemoteTrip *trip)
-{
-    co_await kern.touchOnCpu(cpu, *procs[cpu], seg, page, a);
-    const kernel::CpuResolution v = kern.resolveForCpu(seg, page);
-    engine.post(srcShard, home.now() + params.ipiLatency,
-                [this, cpu, v, srcShard, trip] {
-                    // Runs on the owning shard: it alone writes this
-                    // CPU's cache and reads the trip.
-                    kern.cpuStore(cpu, v);
-                    sim::Simulation &s = engine.shard(srcShard);
-                    s.scheduleResume(s.now(), trip->handle);
-                });
-}
-
 sim::Task<>
 World::cpuLoop(Cpu &cpu)
 {
@@ -258,8 +196,9 @@ World::cpuLoop(Cpu &cpu)
                 kern.cpuStore(cpu.id, kern.resolveForCpu(rels[rel], page));
             } else {
                 ++cpu.crossRpcs;
-                co_await RemoteTrip{this, cpu.id, cpu.shard, rels[rel],
-                                    page, a, {}};
+                co_await RemoteTrip(engine, cpu.shard, p.ipiLatency,
+                                    kern.touchOnCpu(cpu.id, *procs[cpu.id],
+                                                    rels[rel], page, a));
             }
         }
         pool.release();
@@ -299,6 +238,33 @@ World::recycler()
 }
 
 } // namespace
+
+void
+RemoteTrip::await_suspend(std::coroutine_handle<> h)
+{
+    handle_ = h;
+    engine_->post(0, engine_->shard(shard_).now() + ipi_, [trip = this] {
+        trip->touch_.park(&RemoteTrip::served, trip);
+    });
+}
+
+void
+RemoteTrip::served(void *p)
+{
+    auto *trip = static_cast<RemoteTrip *>(p);
+    const kernel::Kernel::CpuTouch &t = trip->touch_;
+    t.await_resume();
+    kernel::Kernel &k = t.kernel();
+    trip->resolution_ = k.resolveForCpu(t.segment(), t.page());
+    sim::ShardedSimulation &e = *trip->engine_;
+    e.post(trip->shard_, e.shard(0).now() + trip->ipi_, [trip] {
+        // Runs on the CPU's shard: it alone writes the CPU's cache.
+        trip->touch_.kernel().cpuStore(trip->touch_.cpu(),
+                                       trip->resolution_);
+        sim::Simulation &s = trip->engine_->shard(trip->shard_);
+        s.scheduleResume(s.now(), trip->handle_);
+    });
+}
 
 SharedKernelResult
 runSharedKernelStudy(const SharedKernelParams &params)

@@ -31,8 +31,13 @@
 #ifndef VPP_DB_SHARED_KERNEL_H
 #define VPP_DB_SHARED_KERNEL_H
 
+#include <coroutine>
 #include <cstdint>
+#include <utility>
 
+#include "core/kernel.h"
+#include "core/segment.h"
+#include "sim/shard.h"
 #include "sim/time.h"
 
 namespace vpp::db {
@@ -90,6 +95,59 @@ struct SharedKernelResult
 
 SharedKernelResult
 runSharedKernelStudy(const SharedKernelParams &params = {});
+
+/**
+ * A CPU's trip to the shared kernel, which lives on shard 0, from a
+ * CPU on another shard: the study's path for a miss on a remote CPU.
+ * The trip is a record in the awaiting coroutine's frame, and each
+ * mail carries one pointer to it, which ShardedSimulation keeps
+ * inline. The request, one IPI later on shard 0, parks the touch on
+ * the CPU's in-queue; the event that finishes it resolves the page
+ * into the record and posts the reply, which, one IPI later on the
+ * CPU's shard, stores the resolution in the CPU's cache and resumes
+ * the CPU. No coroutine and no promise is made. An error the touch
+ * throws is thrown on shard 0, so ShardedSimulation::run() rethrows it,
+ * and the CPU stays parked until the engine is destroyed.
+ *
+ * Hand-off: the CPU's shard writes the record before it posts the
+ * request, shard 0 writes it between the request's merge and the
+ * reply's post, and the CPU's shard reads it after the reply's merge;
+ * the epoch barrier orders each hand-off, so no two shards touch the
+ * record in one window.
+ */
+class [[nodiscard]] RemoteTrip
+{
+  public:
+    /**
+     * @p touch is the kernel's touchOnCpu for a CPU owned by shard
+     * @p shard; @p ipi is the one-way latency, at least the engine's
+     * lookahead.
+     */
+    RemoteTrip(sim::ShardedSimulation &engine, unsigned shard,
+               sim::Duration ipi, kernel::Kernel::CpuTouch touch) noexcept
+        : engine_(&engine), shard_(shard), ipi_(ipi),
+          touch_(std::move(touch))
+    {}
+
+    /// Mail holds the record's address.
+    RemoteTrip(const RemoteTrip &) = delete;
+    RemoteTrip &operator=(const RemoteTrip &) = delete;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h);
+    void await_resume() const noexcept {}
+
+  private:
+    /** Shard 0's half, once the drain has finished the touch. */
+    static void served(void *trip);
+
+    sim::ShardedSimulation *engine_;
+    unsigned shard_;
+    sim::Duration ipi_;
+    kernel::Kernel::CpuTouch touch_;
+    kernel::CpuResolution resolution_;
+    std::coroutine_handle<> handle_;
+};
 
 } // namespace vpp::db
 

@@ -154,7 +154,11 @@ void
 Simulation::dropTombstones()
 {
     std::erase_if(timers_, cancelled);
-    std::make_heap(timers_.begin(), timers_.end(), EventLater{});
+    // Rebuild bottom-up: sift each parent down, the last one first.
+    for (std::size_t i = timers_.size() / 2; i-- > 0;) {
+        const Event ev = timers_[i];
+        siftDown(timers_, i, ev);
+    }
     tombstones_ = 0;
 }
 

@@ -27,6 +27,9 @@
  * cancelled callbacks outnumber the timer heap's live entries, one
  * sweep removes them and rebuilds it; (when, seq) is a strict total
  * order, so a heap's shape, and hence the rebuild, decides nothing.
+ * Both heaps push and pop by sifting a hole, so each event a sift
+ * moves is written once and the pushed or last event only where the
+ * hole stops.
  */
 
 #ifndef VPP_SIM_SIMULATION_H
@@ -333,17 +336,6 @@ class Simulation
         std::size_t size_ = 0;
     };
 
-    struct EventLater
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     /**
      * One slab slot: inline storage for a small callable (or a
      * std::function fallback for oversized ones) plus its manually
@@ -443,8 +435,7 @@ class Simulation
         // the timer heap, so the main heap holds no tombstone and a far
         // deadline never takes the register.
         if (ev.kind == Event::kSlot) {
-            timers_.push_back(ev);
-            std::push_heap(timers_.begin(), timers_.end(), EventLater{});
+            heapPush(timers_, ev);
             return;
         }
         // The soonest future event lives in a register, not the heap:
@@ -454,18 +445,66 @@ class Simulation
             next_ = ev;
             nextValid_ = true;
         } else if (earlier(ev, next_)) {
-            pushHeap(next_);
+            heapPush(heap_, next_);
             next_ = ev;
         } else {
-            pushHeap(ev);
+            heapPush(heap_, ev);
         }
     }
 
-    void
-    pushHeap(const Event &ev)
+    /**
+     * Add @p ev to the min-heap @p h by sifting a hole up from the
+     * new last slot: each parent that moves down is written once, and
+     * so is @p ev, into the slot where the hole stops.
+     */
+    static void
+    heapPush(std::vector<Event> &h, const Event &ev)
     {
-        heap_.push_back(ev);
-        std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+        std::size_t hole = h.size();
+        std::size_t parent = (hole - 1) / 2;
+        if (hole == 0 || !earlier(ev, h[parent])) {
+            h.push_back(ev);
+            return;
+        }
+        h.push_back(h[parent]);
+        for (hole = parent; hole > 0; hole = parent) {
+            parent = (hole - 1) / 2;
+            if (!earlier(ev, h[parent]))
+                break;
+            h[hole] = h[parent];
+        }
+        h[hole] = ev;
+    }
+
+    /**
+     * Put @p ev into the hole at @p hole of the min-heap @p h, sifting
+     * the hole down: it takes its earlier child while that child is
+     * earlier than @p ev, writing each moved event once.
+     */
+    static void
+    siftDown(std::vector<Event> &h, std::size_t hole, const Event &ev)
+    {
+        const std::size_t n = h.size();
+        for (std::size_t child = 2 * hole + 1; child < n;
+             child = 2 * hole + 1) {
+            if (child + 1 < n && earlier(h[child + 1], h[child]))
+                ++child;
+            if (!earlier(h[child], ev))
+                break;
+            h[hole] = h[child];
+            hole = child;
+        }
+        h[hole] = ev;
+    }
+
+    /** Drop the top of the min-heap @p h: the last event fills it. */
+    static void
+    heapPop(std::vector<Event> &h)
+    {
+        const Event last = h.back();
+        h.pop_back();
+        if (!h.empty())
+            siftDown(h, 0, last);
     }
 
     /** Refill next_ from the heap once it has been consumed. */
@@ -474,8 +513,7 @@ class Simulation
     {
         if (!heap_.empty()) {
             next_ = heap_.front();
-            std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-            heap_.pop_back();
+            heapPop(heap_);
         } else {
             nextValid_ = false;
         }
@@ -501,8 +539,7 @@ class Simulation
     popFuture(bool timer)
     {
         if (timer) {
-            std::pop_heap(timers_.begin(), timers_.end(), EventLater{});
-            timers_.pop_back();
+            heapPop(timers_);
         } else {
             popNext();
         }
