@@ -455,10 +455,13 @@ class Simulation
     /**
      * Add @p ev to the min-heap @p h by sifting a hole up from the
      * new last slot: each parent that moves down is written once, and
-     * so is @p ev, into the slot where the hole stops.
+     * so is @p ev, into the slot where the hole stops. @p ev is taken
+     * by value: a reference lets a scheduling site's event escape, so
+     * every site builds it in memory and copies it out, even when it
+     * only takes the register.
      */
     static void
-    heapPush(std::vector<Event> &h, const Event &ev)
+    heapPush(std::vector<Event> &h, Event ev)
     {
         std::size_t hole = h.size();
         std::size_t parent = (hole - 1) / 2;
